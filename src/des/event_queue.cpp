@@ -41,12 +41,16 @@ EventQueue::Callback EventQueue::take_fn(std::uint32_t idx) {
 }
 
 void EventQueue::insert(Item item) {
-  // Same-timestamp pushes while a batch drains join the batch directly:
-  // seq is monotone, so appending preserves the sorted (time, seq) order.
-  // This is the zero-delay resume fast path (event triggers, queue wakes).
-  if (batch_active_ && item.time == batch_time_) {
-    batch_.push_back(item);
-    return;
+  if (batch_active_) {
+    // Same-timestamp pushes while a batch drains join the batch directly:
+    // seq is monotone, so appending preserves the sorted (time, seq)
+    // order.  This is the zero-delay resume fast path (event triggers,
+    // queue wakes).
+    if (item.time == batch_time_) {
+      batch_.push_back(item);
+      return;
+    }
+    if (item.time < batch_time_) unbatch();
   }
   if (bucket_count_ == 0) {  // no window yet: first ensure_batch builds one
     overflow_.push_back(item);
@@ -59,10 +63,65 @@ void EventQueue::insert(Item item) {
     overflow_.push_back(item);
     return;
   }
+  if (idx < cursor_) {
+    // The cursor steps back (only after a peek moved it ahead of a later
+    // push).  late_ belongs to the old cursor bucket: fold it back in, to
+    // be sorted when the cursor returns there.
+    if (!late_.empty()) {
+      Bucket& old = buckets_[cursor_];
+      old.items.insert(old.items.end(), late_.begin(), late_.end());
+      old.sorted = false;
+      late_.clear();
+    }
+    cursor_ = idx;
+  }
   Bucket& b = buckets_[idx];
-  if (!b.items.empty() && item_before(item, b.items.back())) b.sorted = false;
+  if (!b.items.empty() && item_before(item, b.items.back())) {
+    if (idx == cursor_) {
+      // A late arrival into the live bucket: the bucket stays sorted and
+      // the item waits in late_ for the batch builder's merge.
+      late_.push_back(item);
+      std::push_heap(late_.begin(), late_.end(), item_after);
+      ++reorder_work_;
+      return;
+    }
+    b.sorted = false;  // sorted once, when the cursor reaches it
+  }
   b.items.push_back(item);
-  if (idx < cursor_) cursor_ = idx;
+}
+
+void EventQueue::unbatch() {
+  // Legal only before the first pop of the batch: a push may not precede
+  // the last popped time.
+  assert(batch_pos_ == 0 && "push earlier than the last popped event");
+  // Every batch item precedes everything left in the bucket and in late_,
+  // so the bucket stays sorted with the batch back at its front.
+  Bucket& b = buckets_[cursor_];
+  b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(b.offset),
+                 batch_.begin(), batch_.end());
+  batch_.clear();
+  batch_active_ = false;
+}
+
+void EventQueue::merge_late_batch(Bucket& b) {
+  // Merge the sorted run with the late heap by (time, seq).
+  batch_time_ = late_.front().time;
+  if (!b.drained() && b.items[b.offset].time < batch_time_)
+    batch_time_ = b.items[b.offset].time;
+  for (;;) {
+    const bool run = !b.drained() && b.items[b.offset].time == batch_time_;
+    const bool late = !late_.empty() && late_.front().time == batch_time_;
+    if (late && (!run || late_.front().seq < b.items[b.offset].seq)) {
+      std::pop_heap(late_.begin(), late_.end(), item_after);
+      batch_.push_back(late_.back());
+      late_.pop_back();
+      ++reorder_work_;
+    } else if (run) {
+      batch_.push_back(b.items[b.offset++]);
+    } else {
+      break;
+    }
+  }
 }
 
 bool EventQueue::ensure_batch() {
@@ -71,7 +130,8 @@ bool EventQueue::ensure_batch() {
   batch_pos_ = 0;
   batch_active_ = false;
   for (;;) {
-    while (cursor_ < bucket_count_ && buckets_[cursor_].drained()) {
+    while (cursor_ < bucket_count_ && buckets_[cursor_].drained() &&
+           late_.empty()) {
       Bucket& b = buckets_[cursor_];
       b.items.clear();
       b.offset = 0;
@@ -85,18 +145,22 @@ bool EventQueue::ensure_batch() {
     }
     Bucket& b = buckets_[cursor_];
     if (!b.sorted) {
+      reorder_work_ += b.items.size() - b.offset;
       std::sort(b.items.begin() + static_cast<std::ptrdiff_t>(b.offset),
                 b.items.end(), item_before);
       b.sorted = true;
     }
-    batch_time_ = b.items[b.offset].time;
-    while (b.offset < b.items.size() &&
-           b.items[b.offset].time == batch_time_)
-      batch_.push_back(b.items[b.offset++]);
+    if (late_.empty()) {
+      batch_time_ = b.items[b.offset].time;
+      while (b.offset < b.items.size() &&
+             b.items[b.offset].time == batch_time_)
+        batch_.push_back(b.items[b.offset++]);
+    } else {
+      merge_late_batch(b);
+    }
     if (b.drained()) {
       b.items.clear();
       b.offset = 0;
-      b.sorted = true;
     }
     batch_active_ = true;
     return true;

@@ -16,12 +16,26 @@
 //             triggers, zero-delay resumes — in one pass with no heap ops.
 //   buckets_  a window of `bucket_count_` buckets of `width_` simulated
 //             seconds starting at `win_start_`.  A push lands in bucket
-//             (t - win_start_) / width_; buckets sort on demand (and only
-//             from their drain offset) when the window cursor reaches them.
+//             (t - win_start_) / width_; a bucket ahead of the cursor takes
+//             plain appends and is sorted once, from its drain offset, when
+//             the window cursor reaches it.
 //   overflow_ everything past the window.  When the window drains, the
 //             window is rebuilt over the overflow with a width adapted to
 //             the observed density (~2 items per bucket, power-of-two
 //             bucket counts in [64, 65536]).
+//
+// Live-bucket invariant: the bucket under the cursor (the one being
+// drained) stays sorted from its drain offset at all times, so it is never
+// re-sorted.  A late arrival into it — a bandwidth re-solve, a 60-s poll,
+// any short delay that lands before the bucket's last item — goes to
+// `late_`, a binary min-heap that belongs to the live bucket, and the batch
+// builder merges the sorted run and the heap by (time, seq).  Per-insert
+// cost is therefore O(log k) in the k late arrivals pending: a
+// million-event bucket degrades to a binary heap, never to a quadratic
+// re-sort.  The heap was chosen over splitting the bucket or rebuilding the
+// window on occupancy because it needs no re-partition pass (whose cost a
+// density swing could trigger over and over) and leaves in-order pushes,
+// the common case, plain appends.
 //
 // Determinism: the queue realises the exact total order (time, seq) with
 // seq assigned in push order — the same contract the heap implemented — so
@@ -63,7 +77,8 @@ class EventQueue {
 
   /// Timestamp of the earliest pending item; +infinity when empty.  May
   /// sort a bucket / rebuild the window (amortised against the pops that
-  /// must follow).
+  /// must follow).  A peek commits nothing: a later push that lands before
+  /// the peeked time still pops first.
   double next_time();
 
   /// Remove and return the earliest item by (time, seq).  Returns false
@@ -73,6 +88,11 @@ class EventQueue {
   /// Move callback `idx` out of the slab and recycle the slot.  Call before
   /// invoking, so the callback may freely push new events.
   Callback take_fn(std::uint32_t idx);
+
+  /// Cumulative reordering work: items passed to bucket sorts plus
+  /// late-heap pushes and pops.  Linear in the events pushed when the
+  /// live-bucket invariant holds; tests use it as an operation budget.
+  [[nodiscard]] std::uint64_t reorder_work() const { return reorder_work_; }
 
  private:
   struct Bucket {
@@ -86,10 +106,22 @@ class EventQueue {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
+  /// Heap order for late_: std::push_heap/pop_heap keep a max-heap, so the
+  /// reversed comparison puts the earliest (time, seq) at the front.
+  static bool item_after(const Item& a, const Item& b) {
+    return item_before(b, a);
+  }
 
   void insert(Item item);
+  /// A push earlier than a peeked, not yet popped batch: hand the batch
+  /// back to the front of its bucket so the earlier item can precede it.
+  void unbatch();
   /// Make batch_ hold the next same-timestamp run; false when empty.
   bool ensure_batch();
+  /// ensure_batch's path when late_ is non-empty: fill batch_ by merging
+  /// the cursor bucket's sorted run with late_.  Out of line so the plain
+  /// drain path in ensure_batch stays small.
+  void merge_late_batch(Bucket& b);
   /// Re-partition overflow_ into a fresh window sized to its density.
   void rebuild_window();
 
@@ -105,6 +137,9 @@ class EventQueue {
   double width_ = 1.0;
   std::size_t bucket_count_ = 0;
   std::size_t cursor_ = 0;  ///< first possibly non-drained bucket
+  /// Min-heap (item_after) of late arrivals into the live bucket.
+  /// Non-empty only while its items belong to buckets_[cursor_].
+  std::vector<Item> late_;
 
   // Tier 2: items beyond the window.
   std::vector<Item> overflow_;
@@ -115,6 +150,7 @@ class EventQueue {
 
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
+  std::uint64_t reorder_work_ = 0;
 };
 
 }  // namespace lobster::des

@@ -187,6 +187,9 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
     : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
+  if (!sorted_.empty())
+    mean_ = std::accumulate(sorted_.begin(), sorted_.end(), 0.0) /
+            static_cast<double>(sorted_.size());
 }
 
 double EmpiricalDistribution::min() const {
@@ -195,12 +198,6 @@ double EmpiricalDistribution::min() const {
 
 double EmpiricalDistribution::max() const {
   return sorted_.empty() ? 0.0 : sorted_.back();
-}
-
-double EmpiricalDistribution::mean() const {
-  if (sorted_.empty()) return 0.0;
-  return std::accumulate(sorted_.begin(), sorted_.end(), 0.0) /
-         static_cast<double>(sorted_.size());
 }
 
 double EmpiricalDistribution::quantile(double q) const {

@@ -97,7 +97,9 @@ class EmpiricalDistribution {
   std::size_t size() const { return sorted_.size(); }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
+  /// Arithmetic mean of the samples (0 when empty).  Summed once, in the
+  /// constructor, over the sorted samples: O(1) per call.
+  [[nodiscard]] double mean() const { return mean_; }
   /// Empirical quantile, q in [0, 1].
   double quantile(double q) const;
   /// Draw a value using the supplied generator.
@@ -107,6 +109,7 @@ class EmpiricalDistribution {
 
  private:
   std::vector<double> sorted_;
+  double mean_ = 0.0;
 };
 
 }  // namespace lobster::util

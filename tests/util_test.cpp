@@ -2,8 +2,10 @@
 // stats, config parsing, tables, channels and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -161,6 +163,33 @@ TEST(EmpiricalDistribution, QuantilesAndSampling) {
   lu::RunningStats s;
   for (int i = 0; i < 100000; ++i) s.add(dist.sample(rng));
   EXPECT_NEAR(s.mean(), dist.mean(), 5.0);
+}
+
+// mean() is cached at construction.  It must be bitwise equal to the
+// left-to-right sum over the *sorted* samples, or every availability-driven
+// golden would drift.
+TEST(EmpiricalDistribution, CachedMeanIsBitwiseTheSortedSum) {
+  lu::Rng rng(77);
+  std::vector<double> samples;
+  for (int i = 0; i < 50000; ++i) samples.push_back(rng.weibull(0.8, 3600.0));
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const double want = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                      static_cast<double>(sorted.size());
+  // Summing in draw order rounds differently; the cache must not do that.
+  ASSERT_NE(std::accumulate(samples.begin(), samples.end(), 0.0) /
+                static_cast<double>(samples.size()),
+            want);
+  const lu::EmpiricalDistribution dist(samples);
+  EXPECT_EQ(dist.mean(), want);
+
+  const lu::EmpiricalDistribution one({42.5});
+  EXPECT_EQ(one.mean(), 42.5);
+
+  const lu::EmpiricalDistribution none;
+  EXPECT_EQ(none.mean(), 0.0);
+  const lu::EmpiricalDistribution none_from_vector(std::vector<double>{});
+  EXPECT_EQ(none_from_vector.mean(), 0.0);
 }
 
 // ------------------------------------------------------------ histogram ----
