@@ -14,39 +14,8 @@ bool path_in_scope(const std::string& scope, const std::string& path) {
 }
 }  // namespace
 
-void MemoryBackend::put(const std::string& path, std::string content) {
-  files_[path] = std::move(content);
-}
-
-std::string MemoryBackend::get(const std::string& path) {
-  const auto it = files_.find(path);
-  if (it == files_.end()) throw ChirpError("chirp: no such file " + path);
-  return it->second;
-}
-
-bool MemoryBackend::exists(const std::string& path) {
-  return files_.count(path) > 0;
-}
-
-void MemoryBackend::remove(const std::string& path) {
-  if (files_.erase(path) == 0)
-    throw ChirpError("chirp: no such file " + path);
-}
-
-std::vector<FileInfo> MemoryBackend::list(const std::string& prefix) {
-  std::vector<FileInfo> out;
-  for (auto it = files_.lower_bound(prefix);
-       it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it)
-    out.push_back(FileInfo{it->first, it->second.size()});
-  return out;
-}
-
-ChirpServer::ChirpServer(std::ptrdiff_t max_connections,
-                         std::unique_ptr<StorageBackend> backend)
-    : connections_(max_connections),
-      backend_(backend ? std::move(backend)
-                       : std::make_unique<MemoryBackend>()) {
+ChirpServer::ChirpServer(std::ptrdiff_t max_connections)
+    : connections_(max_connections) {
   if (max_connections <= 0)
     throw std::invalid_argument("chirp: max_connections must be positive");
 }
@@ -96,6 +65,12 @@ void ChirpServer::check_scope(const std::string& scope,
     throw ChirpError("chirp: path " + path + " outside ticket scope " + scope);
 }
 
+const std::string& ChirpServer::file(const std::string& path) const {
+  const auto it = files_.find(path);
+  if (it == files_.end()) throw ChirpError("chirp: no such file " + path);
+  return it->second;
+}
+
 void ChirpServer::bind_counters(util::CounterRegistry& registry) {
   ctr_requests_ = &registry.counter("chirp.server.requests");
   ctr_bytes_in_ = &registry.gauge("chirp.server.bytes_in");
@@ -111,7 +86,7 @@ void ChirpServer::Session::put(const std::string& path, std::string content) {
   util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
   util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
-  server_->backend_->put(path, std::move(content));
+  server_->files_[path] = std::move(content);
 }
 
 void ChirpServer::Session::append(const std::string& path,
@@ -124,10 +99,7 @@ void ChirpServer::Session::append(const std::string& path,
   util::bump(server_->ctr_requests_);
   server_->bytes_in_ += static_cast<double>(content.size());
   util::bump(server_->ctr_bytes_in_, static_cast<double>(content.size()));
-  std::string merged =
-      server_->backend_->exists(path) ? server_->backend_->get(path) : "";
-  merged += content;
-  server_->backend_->put(path, std::move(merged));
+  server_->files_[path] += content;
 }
 
 std::string ChirpServer::Session::get(const std::string& path) const {
@@ -137,7 +109,7 @@ std::string ChirpServer::Session::get(const std::string& path) const {
   std::lock_guard lock(server_->mutex_);
   ++server_->requests_;
   util::bump(server_->ctr_requests_);
-  std::string content = server_->backend_->get(path);
+  std::string content = server_->file(path);
   server_->bytes_out_ += static_cast<double>(content.size());
   util::bump(server_->ctr_bytes_out_, static_cast<double>(content.size()));
   return content;
@@ -150,9 +122,7 @@ FileInfo ChirpServer::Session::stat(const std::string& path) const {
   std::lock_guard lock(server_->mutex_);
   ++server_->requests_;
   util::bump(server_->ctr_requests_);
-  if (!server_->backend_->exists(path))
-    throw ChirpError("chirp: no such file " + path);
-  return FileInfo{path, server_->backend_->get(path).size()};
+  return FileInfo{path, server_->file(path).size()};
 }
 
 std::vector<FileInfo> ChirpServer::Session::list(
@@ -163,7 +133,13 @@ std::vector<FileInfo> ChirpServer::Session::list(
   std::lock_guard lock(server_->mutex_);
   ++server_->requests_;
   util::bump(server_->ctr_requests_);
-  return server_->backend_->list(prefix);
+  std::vector<FileInfo> out;
+  for (auto it = server_->files_.lower_bound(prefix);
+       it != server_->files_.end() &&
+       it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it)
+    out.push_back(FileInfo{it->first, it->second.size()});
+  return out;
 }
 
 void ChirpServer::Session::remove(const std::string& path) {
@@ -173,7 +149,8 @@ void ChirpServer::Session::remove(const std::string& path) {
   std::lock_guard lock(server_->mutex_);
   ++server_->requests_;
   util::bump(server_->ctr_requests_);
-  server_->backend_->remove(path);
+  if (server_->files_.erase(path) == 0)
+    throw ChirpError("chirp: no such file " + path);
 }
 
 std::uint64_t ChirpServer::total_requests() const {
@@ -193,7 +170,7 @@ double ChirpServer::bytes_out() const {
 
 std::size_t ChirpServer::num_files() const {
   std::lock_guard lock(mutex_);
-  return backend_->list("").size();
+  return files_.size();
 }
 
 ChirpSim::ChirpSim(des::Simulation& sim, const Params& params)

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <semaphore>
@@ -60,45 +59,13 @@ struct FileInfo {
   std::uint64_t size = 0;
 };
 
-/// Storage behind the Chirp namespace.  The production deployment fronts a
-/// Hadoop cluster (paper §4.2: "we use a Chirp user level file server to
-/// provide access to a backend Hadoop cluster"); tests and small setups use
-/// plain memory.  Implementations must be thread safe or rely on the
-/// server's locking (the server serialises all backend calls).
-class StorageBackend {
- public:
-  virtual ~StorageBackend() = default;
-  virtual void put(const std::string& path, std::string content) = 0;
-  /// Throws ChirpError when absent (or unreadable).
-  virtual std::string get(const std::string& path) = 0;
-  virtual bool exists(const std::string& path) = 0;
-  /// Throws ChirpError when absent.
-  virtual void remove(const std::string& path) = 0;
-  /// (path, size) under a prefix, sorted by path.
-  virtual std::vector<FileInfo> list(const std::string& prefix) = 0;
-};
-
-/// Default backend: an in-memory map.
-class MemoryBackend final : public StorageBackend {
- public:
-  void put(const std::string& path, std::string content) override;
-  std::string get(const std::string& path) override;
-  bool exists(const std::string& path) override;
-  void remove(const std::string& path) override;
-  std::vector<FileInfo> list(const std::string& prefix) override;
-
- private:
-  std::map<std::string, std::string> files_;
-};
-
-/// Real Chirp server over a pluggable storage backend.
+/// Real Chirp server over an in-memory namespace.
 class ChirpServer {
  public:
   /// `max_connections` bounds concurrent sessions, as the production server
   /// does to "keep the underlying hardware from becoming completely
-  /// unresponsive" (paper §6).  Default backend: memory.
-  explicit ChirpServer(std::ptrdiff_t max_connections = 64,
-                       std::unique_ptr<StorageBackend> backend = nullptr);
+  /// unresponsive" (paper §6).
+  explicit ChirpServer(std::ptrdiff_t max_connections = 64);
 
   /// Issue a ticket granting `rights` under the subtree `scope`.
   /// Returns the ticket string clients authenticate with.
@@ -147,11 +114,14 @@ class ChirpServer {
  private:
   friend class Session;
   void check_scope(const std::string& scope, const std::string& path) const;
+  /// Content of `path`; throws ChirpError when absent.
+  const std::string& file(const std::string& path) const
+      LOBSTER_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   std::counting_semaphore<1 << 20> connections_;
-  // The server serialises all backend calls (see StorageBackend).
-  std::unique_ptr<StorageBackend> backend_ LOBSTER_PT_GUARDED_BY(mutex_);
+  /// Path -> content, sorted so list() is a prefix range scan.
+  std::map<std::string, std::string> files_ LOBSTER_GUARDED_BY(mutex_);
   struct Ticket {
     std::string scope;
     Rights rights;

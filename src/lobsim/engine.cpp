@@ -58,11 +58,8 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
   per_site_tasklets_.assign(sites_->num_sites(), 0);
   site_running_.assign(sites_->num_sites(), 0);
 
-  // The legacy tail_shrink switch upgrades the default policy.
-  DispatchMode mode = workload_.dispatch;
-  if (workload_.tail_shrink && mode == DispatchMode::Fifo)
-    mode = DispatchMode::TailShrink;
-  dispatch_ = make_dispatch_policy(mode, workload_.tasklets_per_task,
+  dispatch_ = make_dispatch_policy(workload_.dispatch,
+                                   workload_.tasklets_per_task,
                                    workload_.lifetime_safety,
                                    workload_.lifetime_max_tasklets,
                                    workload_.steal_min_backlog);
@@ -192,6 +189,26 @@ const EngineMetrics& Engine::run(double time_cap) {
     metrics_->bytes_staged += sites_->federation(s).bytes_staged();
   }
   metrics_->bytes_staged_out = chirp_->bytes_in();
+  // Task outcomes are counted once, on the counter plane; this block is the
+  // only writer of their EngineMetrics mirrors.  A counter that was never
+  // registered (advisor off, or a non-stealing policy) reads 0.
+  const auto value = [](const auto* c) {
+    return c ? c->value() : decltype(c->value()){};
+  };
+  metrics_->tasks_completed = value(ctr_tasks_completed_);
+  metrics_->tasks_failed = value(ctr_tasks_failed_);
+  metrics_->tasks_evicted = value(ctr_tasks_evicted_);
+  metrics_->merge_tasks_completed = value(ctr_merges_completed_);
+  metrics_->tasklets_processed = value(ctr_tasklets_processed_);
+  metrics_->tasklets_retried = value(ctr_tasklets_retried_);
+  metrics_->steal_attempts = value(ctr_steal_attempts_);
+  metrics_->steal_tasks = value(ctr_steal_tasks_);
+  metrics_->steal_bytes_penalty = value(ctr_steal_bytes_penalty_);
+  metrics_->advisor_ticks = value(ctr_advisor_ticks_);
+  metrics_->advisor_shrinks = value(ctr_advisor_shrinks_);
+  metrics_->advisor_throttles = value(ctr_advisor_throttles_);
+  metrics_->advisor_drains = value(ctr_advisor_drains_);
+  metrics_->advisor_restores = value(ctr_advisor_restores_);
   if (sim_.tracer().enabled()) {
     // Final name-ordered counter snapshot, then one atomic flush.  Spans
     // still open in truncated runs stay open in the file — that is the
@@ -242,7 +259,6 @@ des::Process Engine::advisor_loop(double period) {
 
     const std::vector<AdvisorDecision> decisions =
         advisor_->tick(sim_.now(), metrics_->monitor, gauges, *advisor_port_);
-    ++metrics_->advisor_ticks;
     ctr_advisor_ticks_->add();
     ctr_advisor_share_->set(advisor_->dispatch_share());
     ctr_advisor_ewma_->set(advisor_->failure_ewma());
@@ -257,19 +273,15 @@ des::Process Engine::advisor_loop(double period) {
     for (const AdvisorDecision& d : decisions) {
       switch (d.kind) {
         case AdvisorDecision::Kind::Shrink:
-          ++metrics_->advisor_shrinks;
           ctr_advisor_shrinks_->add();
           break;
         case AdvisorDecision::Kind::Throttle:
-          ++metrics_->advisor_throttles;
           ctr_advisor_throttles_->add();
           break;
         case AdvisorDecision::Kind::Drain:
-          ++metrics_->advisor_drains;
           ctr_advisor_drains_->add();
           break;
         case AdvisorDecision::Kind::Restore:
-          ++metrics_->advisor_restores;
           ctr_advisor_restores_->add();
           break;
         case AdvisorDecision::Kind::Advise:
@@ -496,9 +508,7 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
       if (wan_bytes > 0.0)
         co_await sites_->federation(node.site).stage(wan_bytes);
     }
-    const double charged = wan_bytes + workload_.hot_setup_bytes;
-    metrics_->steal_bytes_penalty += charged;
-    util::bump(ctr_steal_bytes_penalty_, charged);
+    ctr_steal_bytes_penalty_->add(wan_bytes + workload_.hot_setup_bytes);
     if (evicted_now()) {
       mark_evicted();
       co_return false;
@@ -610,13 +620,10 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
     // Mirror the policy's attempt count (it ticks even on failed polls) and
     // announce successful steals on the trace plane.
     const std::uint64_t attempts = stealing_->steal_attempts();
-    if (attempts > metrics_->steal_attempts) {
-      util::bump(ctr_steal_attempts_, attempts - metrics_->steal_attempts);
-      metrics_->steal_attempts = attempts;
-    }
+    const std::uint64_t mirrored = ctr_steal_attempts_->value();
+    if (attempts > mirrored) ctr_steal_attempts_->add(attempts - mirrored);
     if (task && task->stolen) {
-      ++metrics_->steal_tasks;
-      util::bump(ctr_steal_tasks_);
+      ctr_steal_tasks_->add();
       sim_.tracer().instant(
           "lobsim", "steal", 0,
           {{"victim", static_cast<double>(task->victim_site)},
@@ -637,13 +644,11 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     record.status = core::TaskStatus::Done;
   } else if (evicted) {
     record.status = core::TaskStatus::Evicted;
-    ++metrics_->tasks_evicted;
     ctr_tasks_evicted_->add();
     sim_.tracer().instant("lobsim", "task_evicted", 0,
                           {{"tasklets", static_cast<double>(task.n_tasklets)}});
   } else {
     record.status = core::TaskStatus::Failed;
-    ++metrics_->tasks_failed;
     ctr_tasks_failed_->add();
     metrics_->failures.add(now);
     metrics_->failure_events.emplace_back(now, record.exit_code);
@@ -655,7 +660,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
   if (task.is_merge) {
     --running_merges_;
     if (success) {
-      ++metrics_->merge_tasks_completed;
       ctr_merges_completed_->add();
       metrics_->merge_done.add(now);
       metrics_->last_merge_finish = now;
@@ -665,12 +669,10 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     }
   } else {
     if (success) {
-      ++metrics_->tasks_completed;
       ctr_tasks_completed_->add();
       metrics_->analysis_done.add(now);
       metrics_->last_analysis_finish = now;
       tasklets_done_ += task.n_tasklets;
-      metrics_->tasklets_processed += task.n_tasklets;
       ctr_tasklets_processed_->add(task.n_tasklets);
       per_site_tasklets_[site] += task.n_tasklets;
       planner_->add_output(workload_.tasklet_output_bytes * task.n_tasklets);
@@ -679,7 +681,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
       // stolen chunk goes back to its victim's partition, not the thief's.
       dispatch_->return_tasklets(task.stolen ? task.victim_site : site,
                                  task.n_tasklets);
-      metrics_->tasklets_retried += task.n_tasklets;
       ctr_tasklets_retried_->add(task.n_tasklets);
     }
   }
@@ -724,7 +725,6 @@ des::Process Engine::hadoop_merge() {
                                 bytes / self->workload_.hadoop_local_rate);
     }
     const double now = self->sim_.now();
-    ++self->metrics_->merge_tasks_completed;
     self->ctr_merges_completed_->add();
     self->metrics_->merge_done.add(now);
     self->metrics_->last_merge_finish = now;

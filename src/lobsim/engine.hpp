@@ -79,8 +79,9 @@ struct WorkloadParams {
   /// work (the wrapper's retry discipline; damps outage retry storms).
   double failure_backoff = 300.0;
   /// Task-construction policy (dispatch_policy.hpp).  Fifo mirrors the
-  /// production system the paper measured; tail_shrink below is a legacy
-  /// alias that upgrades Fifo to TailShrink.
+  /// production system the paper measured; TailShrink adds the §8 task-size
+  /// adaptivity (single-tasklet tasks once the pool is smaller than the
+  /// slot count).
   DispatchMode dispatch = DispatchMode::Fifo;
   /// Lifetime dispatch only: fraction of the expected remaining worker
   /// lifetime a task may fill, and the per-task tasklet cap (0 = 4x
@@ -94,11 +95,6 @@ struct WorkloadParams {
   /// tasklets (0 = 2x tasklets_per_task).
   double steal_penalty_factor = 0.5;
   std::uint64_t steal_min_backlog = 0;
-  /// Shrink tasks to single tasklets once the pending pool is smaller than
-  /// the slot count (the §8 task-size adaptivity).  Kept for compatibility;
-  /// equivalent to dispatch = DispatchMode::TailShrink.
-  bool tail_shrink = false;
-  std::uint32_t max_attempts = 50;
 
   core::MergeMode merge_mode = core::MergeMode::Interleaved;
   core::MergePolicy merge_policy;
@@ -113,7 +109,9 @@ struct WorkloadParams {
   double hadoop_reduce_setup = 240.0;
 };
 
-/// What happened — everything the figure benches print.
+/// What happened — everything the figure benches print.  The task-outcome
+/// counts (tasks_*, merge_tasks_completed, tasklets_*, steal_*, advisor_*)
+/// are copied from the lobsim.* counter plane once, at the end of run().
 struct EngineMetrics {
   explicit EngineMetrics(double bin_seconds)
       : monitor(bin_seconds),
@@ -173,14 +171,12 @@ class Engine {
   /// Returns the collected metrics.
   const EngineMetrics& run(double time_cap = 10.0 * 86400.0);
 
-  [[nodiscard]] const EngineMetrics& metrics() const { return *metrics_; }
   des::Simulation& sim() { return sim_; }
   /// Home-site federation (site 0).
   xrootd::FederationSim& federation() { return sites_->federation(0); }
   xrootd::FederationSim& federation(std::size_t site) {
     return sites_->federation(site);
   }
-  des::BandwidthLink& foreman_fanout() { return *foreman_fanout_; }
   chirp::ChirpSim& chirp() { return *chirp_; }
   /// Home-site squids (site 0).
   cvmfs::SquidSim& squid(std::size_t i) { return sites_->squid(0, i); }
@@ -212,8 +208,6 @@ class Engine {
   /// share.  Call before run().  The lobsim.advisor.* counters are
   /// registered here, so advisor-off runs keep byte-identical traces.
   void enable_advisor(const AdvisorConfig& config);
-  /// Null when the advisor is off.
-  [[nodiscard]] const Advisor* advisor() const { return advisor_.get(); }
 
  private:
   struct AdvisorPort;  // the AdvisorActions adapter (engine.cpp)

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +50,86 @@ lobsim::RunSpec tiny_spec(std::uint64_t seed = 2015) {
   spec.time_cap = 10.0 * 86400.0;
   spec.metric_bin_seconds = 3600.0;
   return spec;
+}
+
+/// tiny_spec grown into the fig10 outage shape with the stealing policy
+/// and the advisor on: a WAN outage mid-run fails streaming tasks, a bursty
+/// second site and a calm third one leave backlogs to steal from, and the
+/// advisor ticks (and acts) on the failure burst.
+lobsim::RunSpec tiny_stealing_outage_spec() {
+  lobsim::RunSpec spec = tiny_spec();
+  spec.label = "stealing-outage";
+  spec.workload.num_tasklets = 360;
+  spec.workload.dispatch = lobsim::DispatchMode::Stealing;
+  spec.workload.steal_min_backlog = 6;
+  lobsim::SiteParams bursty;
+  bursty.name = "bursty";
+  bursty.target_cores = 32;
+  bursty.ramp_seconds = 60.0;
+  bursty.availability.kind = lobsim::AvailabilityKind::AdversarialBurst;
+  bursty.availability.scale_hours = 2.0;
+  bursty.availability.burst_period_hours = 1.0;
+  bursty.availability.burst_fraction = 0.8;
+  lobsim::SiteParams calm;
+  calm.name = "calm";
+  calm.target_cores = 16;
+  calm.ramp_seconds = 60.0;
+  calm.evictions = false;
+  spec.cluster.extra_sites = {bursty, calm};
+  spec.outage_start = 3600.0;
+  spec.outage_duration = 1800.0;
+  spec.advisor.enabled = true;
+  return spec;
+}
+
+/// The three views of a run's task outcomes agree: every EngineMetrics
+/// outcome field equals its lobsim.* counter in the trace's final snapshot
+/// (an unregistered counter reads 0), and core::Monitor counts the same
+/// failures and evictions.
+void expect_outcome_views_agree(
+    const lobsim::EngineMetrics& m,
+    const std::vector<std::pair<std::string, double>>& final_counters) {
+  const std::map<std::string, double> counters(final_counters.begin(),
+                                               final_counters.end());
+  const auto counter = [&counters](const std::string& name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0.0 : it->second;
+  };
+  const std::pair<const char*, double> fields[] = {
+      {"lobsim.engine.tasks_completed", static_cast<double>(m.tasks_completed)},
+      {"lobsim.engine.tasks_failed", static_cast<double>(m.tasks_failed)},
+      {"lobsim.engine.tasks_evicted", static_cast<double>(m.tasks_evicted)},
+      {"lobsim.engine.merge_tasks_completed",
+       static_cast<double>(m.merge_tasks_completed)},
+      {"lobsim.engine.tasklets_processed",
+       static_cast<double>(m.tasklets_processed)},
+      {"lobsim.engine.tasklets_retried",
+       static_cast<double>(m.tasklets_retried)},
+      {"lobsim.steal.attempts", static_cast<double>(m.steal_attempts)},
+      {"lobsim.steal.tasks", static_cast<double>(m.steal_tasks)},
+      {"lobsim.steal.bytes_penalty", m.steal_bytes_penalty},
+      {"lobsim.advisor.ticks", static_cast<double>(m.advisor_ticks)},
+      {"lobsim.advisor.shrinks", static_cast<double>(m.advisor_shrinks)},
+      {"lobsim.advisor.throttles", static_cast<double>(m.advisor_throttles)},
+      {"lobsim.advisor.drains", static_cast<double>(m.advisor_drains)},
+      {"lobsim.advisor.restores", static_cast<double>(m.advisor_restores)},
+  };
+  for (const auto& [name, value] : fields)
+    EXPECT_EQ(counter(name), value) << name;
+  EXPECT_EQ(m.monitor.tasks_failed(), m.tasks_failed);
+  EXPECT_EQ(m.monitor.tasks_evicted(), m.tasks_evicted);
+  // Every slot-run task (analysis and merge) reaches the Monitor once.
+  EXPECT_EQ(m.monitor.tasks_seen(), m.tasks_completed + m.tasks_failed +
+                                        m.tasks_evicted +
+                                        m.merge_tasks_completed);
+}
+
+bool has_counter_prefix(
+    const std::vector<std::pair<std::string, double>>& counters,
+    const std::string& prefix) {
+  for (const auto& sample : counters)
+    if (sample.first.rfind(prefix, 0) == 0) return true;
+  return false;
 }
 
 }  // namespace
@@ -290,48 +371,65 @@ TEST(TraceReplay, RebuildsRecordsFromEndEventArgs) {
 // ---------------------------------------------------------- engine contract ----
 
 TEST(EngineTrace, TracedRunIsValidAndReconstructsBreakdownExactly) {
-  const std::string path = temp_path("engine_trace.jsonl");
-  lobsim::RunSpec spec = tiny_spec();
-  spec.trace_path = path;
-  std::shared_ptr<const lobsim::EngineMetrics> metrics;
-  const lobsim::RunStats stats = lobsim::Campaign::execute(spec, &metrics);
-  ASSERT_TRUE(metrics);
-  ASSERT_TRUE(stats.completed);
+  // Two inputs: the plain tiny run, and the stealing, advisor-on outage run
+  // that reaches every outcome the Engine counts.
+  for (lobsim::RunSpec spec : {tiny_spec(), tiny_stealing_outage_spec()}) {
+    SCOPED_TRACE(spec.label);
+    const bool stealing_advisor = spec.advisor.enabled;
+    const std::string path = temp_path("engine_trace_" + spec.label + ".jsonl");
+    spec.trace_path = path;
+    std::shared_ptr<const lobsim::EngineMetrics> metrics;
+    const lobsim::RunStats stats = lobsim::Campaign::execute(spec, &metrics);
+    ASSERT_TRUE(metrics);
+    ASSERT_TRUE(stats.completed);
 
-  const auto events = util::read_trace_jsonl(path);
-  ASSERT_FALSE(events.empty());
-  EXPECT_TRUE(util::validate_trace(events).empty())
-      << util::validate_trace(events);
+    const auto events = util::read_trace_jsonl(path);
+    ASSERT_FALSE(events.empty());
+    EXPECT_TRUE(util::validate_trace(events).empty())
+        << util::validate_trace(events);
 
-  // The end-event payloads carry the authoritative TaskRecord numbers, so
-  // replaying them through a fresh Monitor reproduces the engine's own
-  // Figure 8 breakdown bit for bit (same values, same fold order).
-  const core::TraceReplay replay = core::replay_trace(events);
-  EXPECT_EQ(replay.records.size(),
-            stats.tasks_completed + stats.tasks_failed + stats.tasks_evicted +
-                stats.merge_tasks_completed);
-  core::Monitor monitor(spec.metric_bin_seconds);
-  for (const auto& rec : replay.records) monitor.on_task_finished(rec);
-  const core::RuntimeBreakdown a = monitor.breakdown();
-  const core::RuntimeBreakdown b = metrics->monitor.breakdown();
-  EXPECT_EQ(a.cpu, b.cpu);
-  EXPECT_EQ(a.io, b.io);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.stage_in, b.stage_in);
-  EXPECT_EQ(a.stage_out, b.stage_out);
-  EXPECT_EQ(a.other, b.other);
+    // The end-event payloads carry the authoritative TaskRecord numbers, so
+    // replaying them through a fresh Monitor reproduces the engine's own
+    // Figure 8 breakdown bit for bit (same values, same fold order).
+    const core::TraceReplay replay = core::replay_trace(events);
+    EXPECT_EQ(replay.records.size(),
+              stats.tasks_completed + stats.tasks_failed +
+                  stats.tasks_evicted + stats.merge_tasks_completed);
+    core::Monitor monitor(spec.metric_bin_seconds);
+    for (const auto& rec : replay.records) monitor.on_task_finished(rec);
+    const core::RuntimeBreakdown a = monitor.breakdown();
+    const core::RuntimeBreakdown b = metrics->monitor.breakdown();
+    EXPECT_EQ(a.cpu, b.cpu);
+    EXPECT_EQ(a.io, b.io);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.stage_in, b.stage_in);
+    EXPECT_EQ(a.stage_out, b.stage_out);
+    EXPECT_EQ(a.other, b.other);
 
-  // The final counter plane agrees with the metrics the engine reported.
-  double completed = -1.0, evicted = -1.0, des_events = -1.0;
-  for (const auto& [name, value] : replay.final_counters) {
-    if (name == "lobsim.engine.tasks_completed") completed = value;
-    if (name == "lobsim.engine.tasks_evicted") evicted = value;
-    if (name == "des.kernel.events_dispatched") des_events = value;
+    // The final counter plane agrees with the metrics the engine reported.
+    double des_events = -1.0;
+    for (const auto& [name, value] : replay.final_counters)
+      if (name == "des.kernel.events_dispatched") des_events = value;
+    EXPECT_GT(des_events, 0.0);
+    expect_outcome_views_agree(*metrics, replay.final_counters);
+    // Steal and advisor counters are registered only when their feature is
+    // on, so a plain run's counter snapshot stays byte-identical to a build
+    // without them.
+    EXPECT_EQ(has_counter_prefix(replay.final_counters, "lobsim.steal."),
+              stealing_advisor);
+    EXPECT_EQ(has_counter_prefix(replay.final_counters, "lobsim.advisor."),
+              stealing_advisor);
+    if (stealing_advisor) {
+      // The comparison above covered live values, not zeros.
+      EXPECT_GT(metrics->tasks_failed, 0u);
+      EXPECT_GT(metrics->tasks_evicted, 0u);
+      EXPECT_GT(metrics->tasklets_retried, 0u);
+      EXPECT_GT(metrics->steal_tasks, 0u);
+      EXPECT_GT(metrics->steal_bytes_penalty, 0.0);
+      EXPECT_GT(metrics->advisor_ticks, 0u);
+    }
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(completed, static_cast<double>(stats.tasks_completed));
-  EXPECT_EQ(evicted, static_cast<double>(stats.tasks_evicted));
-  EXPECT_GT(des_events, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(EngineTrace, TracingDoesNotPerturbTheSimulation) {

@@ -26,54 +26,60 @@
 // run.  The `[trace]` scenario section (`file`, `format`) sets the same
 // thing; the flags override it.
 //
-// Example scenario file:
+// Example scenario file.  Every count must be a whole number; a value
+// outside the range noted beside its key fails with
+// "[section] key must be ...", naming the key:
 //
 //   [cluster]
-//   cores = 5000
-//   cores_per_worker = 8
-//   ramp = 1h
+//   cores = 5000                     # >= 1
+//   cores_per_worker = 8             # >= 1
+//   ramp = 1h                        # >= 0
 //   availability = weibull           # or weibull:scale=8,shape=0.8 /
 //                                    # trace:/path/intervals.csv /
 //                                    # diurnal:amplitude=0.6,peak=14 /
 //                                    # adversarial-burst:period=6h,fraction=0.5
-//   availability_hours = 8           # legacy shorthand for the scale
+//   availability_hours = 8           # legacy shorthand for the scale; > 0
 //   evictions = true
-//   uplink = 10          # Gbit/s
-//   squids = 1
-//   chirp_connections = 24
+//   uplink = 10                      # Gbit/s; > 0
+//   squids = 1                       # >= 1
+//   chirp_connections = 24           # >= 1
 //
 //   [workflow]
-//   tasklets = 30000
-//   tasklets_per_task = 6
-//   tasklet_cpu = 10m
-//   input_per_tasklet = 350MB
-//   read_fraction = 0.3
-//   output_per_tasklet = 20MB
+//   seed = 2015                # >= 0
+//   tasklets = 30000           # >= 1
+//   tasklets_per_task = 6      # >= 1
+//   tasklet_cpu = 10m          # > 0
+//   input_per_tasklet = 350MB  # >= 0
+//   read_fraction = 0.3        # in [0, 1]
+//   output_per_tasklet = 20MB  # >= 0
 //   access = stream            # or stage
 //   merge = interleaved        # or sequential / hadoop
 //   dispatch = fifo            # or tail-shrink / site-aware / lifetime /
 //                              # partitioned / stealing
 //   lifetime_safety = 0.25     # lifetime dispatch: fraction of the expected
-//                              # remaining worker lifetime a task may fill
+//                              # remaining worker lifetime a task may fill;
+//                              # > 0
 //   lifetime_max_tasklets = 24 # lifetime dispatch: per-task cap (0 = 4x
-//                              # tasklets_per_task)
+//                              # tasklets_per_task); >= 0
 //   steal_penalty_factor = 0.5 # stealing dispatch: input fraction a stolen
-//                              # task re-stages over the thief's WAN uplink
+//                              # task re-stages over the thief's WAN uplink;
+//                              # >= 0
 //   steal_min_backlog = 12     # stealing dispatch: smallest victim backlog
 //                              # worth stealing from (0 = 2x
-//                              # tasklets_per_task)
+//                              # tasklets_per_task); >= 0
 //
 //   [failures]
-//   outage_start = 3h          # optional WAN outage window
-//   outage_duration = 30m
+//   outage_start = 3h          # optional WAN outage window; >= 0
+//   outage_duration = 30m      # >= 0
 //
 //   [run]
 //   time_cap = 30d             # simulated-time budget; unfinished runs are
-//                              # reported as INCOMPLETE, not as finished
+//                              # reported as INCOMPLETE, not as finished; > 0
 //
 //   [advisor]
 //   enabled = true             # online mitigation loop (default off)
-//   period = 5m                # observation window / tick period
+//   period = 5m                # observation window / tick period; > 0
+//   min_task_size = 1          # floor of the advisor's shrink; >= 1
 //   failed_fraction = 0.2      # thresholds; see core::AdvisorThresholds
 //   proxy_waste_fraction = 0.05 # squid thrash-bytes fraction that throttles
 //   throttle_share = 0.3       # dispatch share under squid/chirp overload
