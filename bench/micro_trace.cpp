@@ -5,10 +5,10 @@
 // when enabled that tracing a production-scale campaign is routine.
 //
 //  * BM_SpanDisabled / BM_InstantDisabled: the per-call-site cost with no
-//    sink installed — this is what every span site in the engine pays on an
+//    trace open — this is what every span site in the engine pays on an
 //    untraced run.
 //  * BM_SpanJsonl / BM_SpanChrome: the cost of a live span against an
-//    in-memory sink (event formatting, no file I/O — files are written once
+//    in-memory trace (event formatting, no file I/O — files are written once
 //    at close).
 //  * BM_CounterAdd / BM_GaugeAdd: the counter-plane atomics every
 //    instrumented increment pays, traced or not.
@@ -59,7 +59,7 @@ double time_run(const lobsim::RunSpec& spec) {
 // ---- per-call-site costs ----------------------------------------------------
 
 void BM_SpanDisabled(benchmark::State& state) {
-  util::Tracer tracer;  // no sink: every span site degenerates to a branch
+  util::Tracer tracer;  // not open: every span site degenerates to a branch
   double clock = 0.0;
   tracer.bind_clock(&clock);
   for (auto _ : state) {
@@ -85,8 +85,7 @@ void BM_SpanJsonl(benchmark::State& state) {
   util::Tracer tracer;
   double clock = 0.0;
   tracer.bind_clock(&clock);
-  tracer.set_sink(
-      std::make_unique<util::JsonlTraceSink>(""));  // in-memory buffer
+  tracer.open(util::TraceFormat::Jsonl, "");  // in-memory buffer
   for (auto _ : state) {
     clock += 1.0;
     util::Span span = tracer.span("task", "analysis", 7);
@@ -99,7 +98,7 @@ void BM_SpanChrome(benchmark::State& state) {
   util::Tracer tracer;
   double clock = 0.0;
   tracer.bind_clock(&clock);
-  tracer.set_sink(std::make_unique<util::ChromeTraceSink>(""));
+  tracer.open(util::TraceFormat::Chrome, "");
   for (auto _ : state) {
     clock += 1.0;
     util::Span span = tracer.span("task", "analysis", 7);

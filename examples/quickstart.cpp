@@ -143,17 +143,13 @@ merge_size = 40MB
 
   // Merge payload: concatenate the group's outputs inside Chirp.
   core::MergePayload merge = [&](const core::MergeGroup& group,
-                                 const std::vector<core::OutputRecord>& outs) {
+                                 const std::vector<core::OutputRecord>&) {
     return core::WrapperStages{
         .execute =
-            [&, merged = group.merged_path, outs](wq::TaskContext&) {
+            [&, merged = group.merged_path](wq::TaskContext&) {
               auto session = chirp_server.connect(ticket);
-              for (const auto& rec : outs) {
-                // Inputs were written under /store/user/quickstart.
-                const auto listing =
-                    session.list("/store/user/quickstart/task_");
-                (void)listing;
-              }
+              // Inputs were written under /store/user/quickstart.
+              session.list("/store/user/quickstart/task_");
               session.put("/store/user/quickstart/" + merged, "merged");
               return 0;
             },

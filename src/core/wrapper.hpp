@@ -26,12 +26,12 @@ namespace lobster::core {
 /// the application exit code (0 = success).  Null stages are skipped (zero
 /// time).  Stages may poll ctx.cancel for cooperative eviction.
 struct WrapperStages {
-  std::function<bool(wq::TaskContext&)> check_machine;
-  std::function<bool(wq::TaskContext&)> setup_environment;
-  std::function<bool(wq::TaskContext&)> stage_in;
-  std::function<int(wq::TaskContext&)> execute;
-  std::function<bool(wq::TaskContext&)> stage_out;
-  std::function<bool(wq::TaskContext&)> cleanup;
+  std::function<bool(wq::TaskContext&)> check_machine{};
+  std::function<bool(wq::TaskContext&)> setup_environment{};
+  std::function<bool(wq::TaskContext&)> stage_in{};
+  std::function<int(wq::TaskContext&)> execute{};
+  std::function<bool(wq::TaskContext&)> stage_out{};
+  std::function<bool(wq::TaskContext&)> cleanup{};
 };
 
 /// Keys under which the wrapper reports measurements in ctx.outputs.

@@ -178,7 +178,7 @@ class Simulation {
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
 
   /// Per-simulation span/event emitter, clock-bound to now().  Inert until
-  /// a sink is installed (Tracer::set_sink).
+  /// a trace is opened (Tracer::open).
   util::Tracer& tracer() { return tracer_; }
   /// The unified counter plane: DES models and the engine register named
   /// counters here; wq/chirp/hdfs substrate objects can bind to it too.

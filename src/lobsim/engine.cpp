@@ -95,7 +95,7 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
 Engine::~Engine() = default;
 
 void Engine::enable_tracing(const std::string& path, util::TraceFormat format) {
-  sim_.tracer().set_sink(util::make_trace_sink(format, path));
+  sim_.tracer().open(format, path);
 }
 
 /// The whole actuation surface the advisor may touch (advisor.hpp's
@@ -650,7 +650,6 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
   } else {
     record.status = core::TaskStatus::Failed;
     ctr_tasks_failed_->add();
-    metrics_->failures.add(now);
     metrics_->failure_events.emplace_back(now, record.exit_code);
     sim_.tracer().instant("lobsim", "task_failed", 0,
                           {{"exit", static_cast<double>(record.exit_code)}});

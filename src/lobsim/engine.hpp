@@ -35,7 +35,6 @@
 #include "core/task_size_model.hpp"
 #include "cvmfs/parrot_cache.hpp"
 #include "cvmfs/squid.hpp"
-#include "des/queue.hpp"
 #include "des/simulation.hpp"
 #include "lobsim/advisor.hpp"
 #include "lobsim/dispatch_policy.hpp"
@@ -116,13 +115,11 @@ struct EngineMetrics {
   explicit EngineMetrics(double bin_seconds)
       : monitor(bin_seconds),
         analysis_done(0.0, bin_seconds),
-        merge_done(0.0, bin_seconds),
-        failures(0.0, bin_seconds) {}
+        merge_done(0.0, bin_seconds) {}
 
   core::Monitor monitor;
   util::TimeSeries analysis_done;
   util::TimeSeries merge_done;
-  util::TimeSeries failures;
   /// (time, exit code) of every failed task — Figure 11 bottom panel.
   std::vector<std::pair<double, int>> failure_events;
   std::uint64_t tasks_completed = 0;

@@ -1,6 +1,7 @@
 #include "util/trace.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,19 +11,21 @@ namespace lobster::util {
 
 namespace {
 
-/// Shortest representation that round-trips a double exactly ("%.17g"),
-/// so reconstruction from a trace reproduces segment times bit for bit and
-/// trace files are byte-deterministic.
+/// Shortest representation that round-trips a double exactly ("%.17g",
+/// which is what std::to_chars' general format at precision 17 is defined
+/// as), so reconstruction from a trace reproduces segment times bit for bit
+/// and trace files are byte-deterministic.
 void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
 /// Names and categories are identifiers/dotted paths by convention, but a
@@ -34,26 +37,8 @@ void append_escaped(std::string& out, const char* s) {
   }
 }
 
-void append_args_object(std::string& out, const std::vector<TraceArg>& args) {
-  out += '{';
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i) out += ',';
-    out += '"';
-    append_escaped(out, args[i].key);
-    out += "\":";
-    append_number(out, args[i].value);
-  }
-  out += '}';
-}
-
-void write_file_or_throw(const std::string& path, const std::string& content) {
-  if (path.empty()) return;  // in-memory sink
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw std::runtime_error("trace: cannot open '" + path + "'");
-  const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = n == content.size() && std::fclose(f) == 0;
-  if (!ok) throw std::runtime_error("trace: short write to '" + path + "'");
-}
+constexpr const char* kChromeHead = "{\"traceEvents\":[\n";
+constexpr const char* kChromeTail = "\n]}\n";
 
 }  // namespace
 
@@ -77,151 +62,75 @@ TraceFormat parse_trace_format(const std::string& s) {
 }
 
 // ---------------------------------------------------------------------------
-// JsonlTraceSink
+// Tracer
 // ---------------------------------------------------------------------------
 
-JsonlTraceSink::JsonlTraceSink(std::string path) : path_(std::move(path)) {}
-
-void JsonlTraceSink::begin(const char* cat, const char* name,
-                           std::uint64_t track, double t) {
-  buf_ += "{\"ev\":\"B\",\"t\":";
-  append_number(buf_, t);
-  buf_ += ",\"track\":";
-  append_u64(buf_, track);
-  buf_ += ",\"cat\":\"";
-  append_escaped(buf_, cat);
-  buf_ += "\",\"name\":\"";
-  append_escaped(buf_, name);
-  buf_ += "\"}\n";
+void Tracer::open(TraceFormat format, std::string path) {
+  open_ = true;
+  format_ = format;
+  first_event_ = true;
+  path_ = std::move(path);
+  buf_ = format == TraceFormat::Chrome ? kChromeHead : "";
 }
 
-void JsonlTraceSink::end(const char* cat, const char* name,
-                         std::uint64_t track, double t,
-                         const std::vector<TraceArg>& args) {
-  buf_ += "{\"ev\":\"E\",\"t\":";
-  append_number(buf_, t);
-  buf_ += ",\"track\":";
+void Tracer::event(char phase, const char* cat, const char* name,
+                   std::uint64_t track, std::span<const TraceArg> args) {
+  const bool chrome = format_ == TraceFormat::Chrome;
+  if (chrome) {
+    if (!first_event_) buf_ += ",\n";
+    buf_ += "{\"ph\":\"";
+    buf_ += phase;
+    buf_ += "\",\"ts\":";
+    append_number(buf_, now() * 1e6);  // Chrome timestamps are microseconds
+    buf_ += ",\"pid\":0,\"tid\":";
+  } else {
+    buf_ += "{\"ev\":\"";
+    buf_ += phase;
+    buf_ += "\",\"t\":";
+    append_number(buf_, now());
+    buf_ += ",\"track\":";
+  }
+  first_event_ = false;
   append_u64(buf_, track);
-  buf_ += ",\"cat\":\"";
-  append_escaped(buf_, cat);
-  buf_ += "\",\"name\":\"";
+  if (chrome || phase != 'C') {  // a JSONL counter carries no category
+    buf_ += ",\"cat\":\"";
+    append_escaped(buf_, cat);
+    buf_ += '"';
+  }
+  buf_ += ",\"name\":\"";
   append_escaped(buf_, name);
   buf_ += '"';
-  if (!args.empty()) {
-    buf_ += ",\"args\":";
-    append_args_object(buf_, args);
+  if (phase == 'C' && !chrome) {  // a JSONL counter's value is top-level
+    buf_ += ",\"value\":";
+    append_number(buf_, args[0].value);
+  } else {
+    if (chrome && phase == 'i') buf_ += ",\"s\":\"t\"";  // thread-scoped
+    if (!args.empty()) {
+      buf_ += ",\"args\":{";
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        if (i) buf_ += ',';
+        buf_ += '"';
+        append_escaped(buf_, args[i].key);
+        buf_ += "\":";
+        append_number(buf_, args[i].value);
+      }
+      buf_ += '}';
+    }
   }
-  buf_ += "}\n";
+  buf_ += chrome ? "}" : "}\n";
 }
 
-void JsonlTraceSink::instant(const char* cat, const char* name,
-                             std::uint64_t track, double t,
-                             const std::vector<TraceArg>& args) {
-  buf_ += "{\"ev\":\"i\",\"t\":";
-  append_number(buf_, t);
-  buf_ += ",\"track\":";
-  append_u64(buf_, track);
-  buf_ += ",\"cat\":\"";
-  append_escaped(buf_, cat);
-  buf_ += "\",\"name\":\"";
-  append_escaped(buf_, name);
-  buf_ += '"';
-  if (!args.empty()) {
-    buf_ += ",\"args\":";
-    append_args_object(buf_, args);
-  }
-  buf_ += "}\n";
-}
-
-void JsonlTraceSink::counter(const char* name, double t, double value) {
-  buf_ += "{\"ev\":\"C\",\"t\":";
-  append_number(buf_, t);
-  buf_ += ",\"track\":0,\"name\":\"";
-  append_escaped(buf_, name);
-  buf_ += "\",\"value\":";
-  append_number(buf_, value);
-  buf_ += "}\n";
-}
-
-void JsonlTraceSink::close() {
-  if (closed_) return;
-  closed_ = true;
-  write_file_or_throw(path_, buf_);
-}
-
-// ---------------------------------------------------------------------------
-// ChromeTraceSink
-// ---------------------------------------------------------------------------
-
-ChromeTraceSink::ChromeTraceSink(std::string path) : path_(std::move(path)) {
-  buf_ = "{\"traceEvents\":[\n";
-}
-
-void ChromeTraceSink::event_prefix(char ph, const char* cat, const char* name,
-                                   std::uint64_t track, double t) {
-  if (!first_) buf_ += ",\n";
-  first_ = false;
-  buf_ += "{\"ph\":\"";
-  buf_ += ph;
-  buf_ += "\",\"ts\":";
-  append_number(buf_, t * 1e6);  // Chrome trace timestamps are microseconds
-  buf_ += ",\"pid\":0,\"tid\":";
-  append_u64(buf_, track);
-  buf_ += ",\"cat\":\"";
-  append_escaped(buf_, cat);
-  buf_ += "\",\"name\":\"";
-  append_escaped(buf_, name);
-  buf_ += '"';
-}
-
-void ChromeTraceSink::begin(const char* cat, const char* name,
-                            std::uint64_t track, double t) {
-  event_prefix('B', cat, name, track, t);
-  buf_ += '}';
-}
-
-void ChromeTraceSink::end(const char* cat, const char* name,
-                          std::uint64_t track, double t,
-                          const std::vector<TraceArg>& args) {
-  event_prefix('E', cat, name, track, t);
-  if (!args.empty()) {
-    buf_ += ",\"args\":";
-    append_args_object(buf_, args);
-  }
-  buf_ += '}';
-}
-
-void ChromeTraceSink::instant(const char* cat, const char* name,
-                              std::uint64_t track, double t,
-                              const std::vector<TraceArg>& args) {
-  event_prefix('i', cat, name, track, t);
-  buf_ += ",\"s\":\"t\"";  // thread-scoped instant
-  if (!args.empty()) {
-    buf_ += ",\"args\":";
-    append_args_object(buf_, args);
-  }
-  buf_ += '}';
-}
-
-void ChromeTraceSink::counter(const char* name, double t, double value) {
-  event_prefix('C', "counter", name, 0, t);
-  buf_ += ",\"args\":{\"value\":";
-  append_number(buf_, value);
-  buf_ += "}}";
-}
-
-void ChromeTraceSink::close() {
-  if (closed_) return;
-  closed_ = true;
-  buf_ += "\n]}\n";
-  write_file_or_throw(path_, buf_);
-}
-
-std::unique_ptr<TraceSink> make_trace_sink(TraceFormat format,
-                                           std::string path) {
-  if (format == TraceFormat::Chrome)
-    return std::make_unique<ChromeTraceSink>(std::move(path));
-  return std::make_unique<JsonlTraceSink>(std::move(path));
+void Tracer::close() {
+  if (!open_) return;
+  open_ = false;
+  if (format_ == TraceFormat::Chrome) buf_ += kChromeTail;
+  if (path_.empty()) return;  // in-memory trace: the caller reads buffer()
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  if (!f) throw std::runtime_error("trace: cannot open '" + path_ + "'");
+  const std::size_t n = std::fwrite(buf_.data(), 1, buf_.size(), f);
+  const bool ok = n == buf_.size() && std::fclose(f) == 0;
+  if (!ok) throw std::runtime_error("trace: short write to '" + path_ + "'");
+  std::string().swap(buf_);  // the file holds it now
 }
 
 // ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@
 //
 //  * Deterministic.  Spans are stamped with *simulated* time (the Tracer's
 //    clock is bound to des::Simulation::now()), events are buffered in
-//    memory and flushed on close, and doubles are printed with "%.17g" so a
+//    memory and flushed on close, and doubles are printed as "%.17g" so a
 //    run's trace file is bitwise identical no matter which campaign worker
 //    thread executed it — the same contract the golden-metrics harness
 //    pins for scalar metrics.
-//  * Near-free when disabled.  With no sink installed, Tracer::span()
+//  * Near-free when disabled.  With no trace open, Tracer::span()
 //    returns an inert Span (null tracer pointer, no clock read, no
 //    allocation) and counters are plain relaxed atomics; the hot paths of
 //    the DES kernel and the engine pay one predictable branch.
@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,84 +64,6 @@ struct TraceArg {
   const char* key;
   double value;
 };
-
-// ---------------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------------
-
-/// Where trace events go.  Implementations buffer in memory and write the
-/// destination file in close() — one atomic flush keeps per-run files
-/// bitwise deterministic and keeps file I/O off the simulation hot path.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void begin(const char* cat, const char* name, std::uint64_t track,
-                     double t) = 0;
-  virtual void end(const char* cat, const char* name, std::uint64_t track,
-                   double t, const std::vector<TraceArg>& args) = 0;
-  virtual void instant(const char* cat, const char* name, std::uint64_t track,
-                       double t, const std::vector<TraceArg>& args) = 0;
-  virtual void counter(const char* name, double t, double value) = 0;
-  /// Flush the buffered events to the destination path (no-op when the
-  /// path is empty — in-memory sinks for tests and benches).  Idempotent.
-  virtual void close() = 0;
-};
-
-/// JSONL: one JSON object per line, `ev` is B/E/i/C, `t` is simulated
-/// seconds.  The machine-readable format lobster_report and the tests
-/// consume (read_trace_jsonl below round-trips it).
-class JsonlTraceSink final : public TraceSink {
- public:
-  /// `path` empty keeps the trace in memory only (see buffer()).
-  explicit JsonlTraceSink(std::string path);
-
-  void begin(const char* cat, const char* name, std::uint64_t track,
-             double t) override;
-  void end(const char* cat, const char* name, std::uint64_t track, double t,
-           const std::vector<TraceArg>& args) override;
-  void instant(const char* cat, const char* name, std::uint64_t track,
-               double t, const std::vector<TraceArg>& args) override;
-  void counter(const char* name, double t, double value) override;
-  void close() override;
-
-  [[nodiscard]] const std::string& buffer() const { return buf_; }
-
- private:
-  std::string path_;
-  std::string buf_;
-  bool closed_ = false;
-};
-
-/// Chrome trace-event JSON: a {"traceEvents":[...]} array with microsecond
-/// timestamps, pid 0 and the span's track as tid — loadable in Perfetto and
-/// chrome://tracing.
-class ChromeTraceSink final : public TraceSink {
- public:
-  explicit ChromeTraceSink(std::string path);
-
-  void begin(const char* cat, const char* name, std::uint64_t track,
-             double t) override;
-  void end(const char* cat, const char* name, std::uint64_t track, double t,
-           const std::vector<TraceArg>& args) override;
-  void instant(const char* cat, const char* name, std::uint64_t track,
-               double t, const std::vector<TraceArg>& args) override;
-  void counter(const char* name, double t, double value) override;
-  void close() override;
-
-  [[nodiscard]] const std::string& buffer() const { return buf_; }
-
- private:
-  void event_prefix(char ph, const char* cat, const char* name,
-                    std::uint64_t track, double t);
-
-  std::string path_;
-  std::string buf_;
-  bool first_ = true;
-  bool closed_ = false;
-};
-
-std::unique_ptr<TraceSink> make_trace_sink(TraceFormat format,
-                                           std::string path);
 
 // ---------------------------------------------------------------------------
 // Tracer + RAII spans
@@ -189,10 +112,22 @@ class [[nodiscard]] Span {
   std::vector<TraceArg> args_;
 };
 
-/// The per-simulation event emitter.  Owned by des::Simulation; time comes
+/// The per-simulation trace writer.  Owned by des::Simulation; time comes
 /// from a bound clock pointer (the simulation's now), so every event is
 /// stamped with simulated seconds and the trace is independent of wall
 /// time, thread scheduling, and host load.
+///
+/// Each event is formatted into one in-memory buffer as it happens, in the
+/// format chosen at open(), and the buffer is written to the destination
+/// file in one piece at close() — one flush keeps per-run files bitwise
+/// deterministic and keeps file I/O off the simulation hot path.
+///
+///  * JSONL: one JSON object per line, `ev` is B/E/i/C, `t` is simulated
+///    seconds.  The machine-readable format lobster_report and the tests
+///    consume (read_trace_jsonl below round-trips it).
+///  * Chrome trace-event JSON: a {"traceEvents":[...]} array with
+///    microsecond timestamps, pid 0 and the span's track as tid — loadable
+///    in Perfetto and chrome://tracing.
 class Tracer {
  public:
   Tracer() = default;
@@ -201,52 +136,62 @@ class Tracer {
 
   /// Bind the time source (des::Simulation points this at its now).
   void bind_clock(const double* now) { clock_ = now; }
-  /// Install (or clear) the sink.  Null disables tracing.
-  void set_sink(std::unique_ptr<TraceSink> sink) { sink_ = std::move(sink); }
-  [[nodiscard]] bool enabled() const { return sink_ != nullptr; }
-  [[nodiscard]] TraceSink* sink() { return sink_.get(); }
+  /// Start a trace in `format`, discarding any unflushed one.  An empty
+  /// `path` keeps the trace in memory only (see buffer()).
+  void open(TraceFormat format, std::string path);
+  [[nodiscard]] bool enabled() const { return open_; }
   [[nodiscard]] double now() const { return clock_ ? *clock_ : 0.0; }
+  /// The formatted trace: the events so far while open, the whole document
+  /// after close() of an in-memory trace (a file trace releases it).
+  [[nodiscard]] const std::string& buffer() const { return buf_; }
 
   /// Open a span on `track`; inert when disabled.
   Span span(const char* cat, const char* name, std::uint64_t track = 0) {
-    if (!sink_) return Span();
-    sink_->begin(cat, name, track, now());
+    if (!open_) return Span();
+    event('B', cat, name, track, {});
     return Span(this, cat, name, track);
   }
 
   /// A zero-duration marker event.
   void instant(const char* cat, const char* name, std::uint64_t track = 0,
                std::initializer_list<TraceArg> args = {}) {
-    if (!sink_) return;
-    const std::vector<TraceArg> v(args);
-    sink_->instant(cat, name, track, now(), v);
+    if (open_) event('i', cat, name, track, args);
   }
 
   /// A counter sample (Perfetto renders these as a value track).
   void counter(const char* name, double value) {
-    if (sink_) sink_->counter(name, now(), value);
+    if (!open_) return;
+    const TraceArg sample{"value", value};
+    event('C', "counter", name, 0, {&sample, 1});
   }
 
-  /// Flush and detach the sink (the trace file is complete after this).
-  void close() {
-    if (!sink_) return;
-    sink_->close();
-    sink_.reset();
-  }
+  /// Finish the document and write it to the path given at open().
+  /// Tracing is disabled afterwards; throws std::runtime_error when the
+  /// file cannot be written.  No-op when no trace is open.
+  void close();
 
  private:
   friend class Span;
+  /// The one event path: `phase` is B/E/i/C; a counter's sample is its one
+  /// arg, "value".  The format decides the envelope, nothing else.
+  void event(char phase, const char* cat, const char* name,
+             std::uint64_t track, std::span<const TraceArg> args);
+
   const double* clock_ = nullptr;
-  std::unique_ptr<TraceSink> sink_;
+  bool open_ = false;
+  TraceFormat format_ = TraceFormat::Jsonl;
+  bool first_event_ = true;
+  std::string path_;
+  std::string buf_;
 };
 
 inline void Span::end() {
   if (!tracer_) return;
-  // The sink may already be flushed and detached (Tracer::close at the end
-  // of a truncated run) while suspended coroutine frames still hold live
-  // spans; their teardown must not touch the dead sink.
-  if (tracer_->sink_)
-    tracer_->sink_->end(cat_, name_, track_, tracer_->now(), args_);
+  // The trace may already be flushed (Tracer::close at the end of a
+  // truncated run) while suspended coroutine frames still hold live spans;
+  // their teardown must not append to a finished document.
+  if (tracer_->open_)
+    tracer_->event('E', cat_, name_, track_, args_);
   tracer_ = nullptr;
 }
 

@@ -176,7 +176,9 @@ TEST(EvictionCurve, ShapeAndErrors) {
   for (const auto& pt : curve) {
     EXPECT_GE(pt.probability, 0.0);
     EXPECT_LE(pt.probability, 1.0);
-    if (pt.at_risk > 0) EXPECT_GE(pt.sigma, 0.0);
+    if (pt.at_risk > 0) {
+      EXPECT_GE(pt.sigma, 0.0);
+    }
   }
   // Weibull shape<1: the hazard decreases with availability time.
   EXPECT_GT(curve[0].probability, curve[10].probability);

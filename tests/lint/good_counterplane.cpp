@@ -3,8 +3,8 @@
 #include "util/trace.hpp"
 
 void register_good_counters(lobster::util::MetricRegistry& registry,
-                            lobster::util::TraceSink& sink) {
+                            lobster::util::Tracer& tracer) {
   registry.counter("fixture.plane.pushes");
   registry.gauge("fixture.plane.depth");
-  sink.counter("fixture.plane.pushes", 1.0, 0.0);
+  tracer.counter("fixture.plane.pushes", 0.0);
 }

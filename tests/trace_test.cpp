@@ -1,4 +1,4 @@
-// Tests for the structured tracing layer (util/trace): sink round trips,
+// Tests for the structured tracing layer (util/trace): format round trips,
 // structural validation, the counter plane, trace replay into TaskRecords,
 // and the engine-level determinism contract — a traced run must produce the
 // same trace bytes no matter which campaign thread executed it, and the
@@ -34,6 +34,23 @@ std::string slurp(const std::string& path) {
   ss << in.rdbuf();
   return ss.str();
 }
+
+/// A Tracer on a hand-set clock writing an in-memory trace: tests move `t`
+/// between calls and drive events through the public API.
+struct ManualTrace {
+  explicit ManualTrace(util::TraceFormat format = util::TraceFormat::Jsonl) {
+    tracer.bind_clock(&t);
+    tracer.open(format, "");
+  }
+  /// Close the (JSONL) trace and parse it back.
+  std::vector<util::TraceEvent> events() {
+    tracer.close();
+    return util::parse_trace_jsonl(tracer.buffer());
+  }
+
+  double t = 0.0;
+  util::Tracer tracer;
+};
 
 lobsim::RunSpec tiny_spec(std::uint64_t seed = 2015) {
   lobsim::RunSpec spec;
@@ -146,17 +163,23 @@ TEST(TraceFormat, NamesAndExtensionsRoundTrip) {
   EXPECT_THROW(util::parse_trace_format("perfetto"), std::invalid_argument);
 }
 
-// ------------------------------------------------------------- JSONL sink ----
+// ------------------------------------------------------------ JSONL output ----
 
 TEST(JsonlSink, EventsRoundTripThroughParser) {
-  util::JsonlTraceSink sink("");
-  sink.begin("task", "analysis", 7, 1.5);
-  sink.end("task", "analysis", 7, 2.5, {{"cpu", 0.75}, {"exit", 0.0}});
-  sink.instant("lobsim", "task_failed", 0, 3.0, {{"exit", 211.0}});
-  sink.counter("lobsim.engine.tasks_completed", 4.0, 42.0);
-  sink.close();
+  ManualTrace tr;
+  tr.t = 1.5;
+  {
+    util::Span span = tr.tracer.span("task", "analysis", 7);
+    tr.t = 2.5;
+    span.arg("cpu", 0.75);
+    span.arg("exit", 0.0);
+  }
+  tr.t = 3.0;
+  tr.tracer.instant("lobsim", "task_failed", 0, {{"exit", 211.0}});
+  tr.t = 4.0;
+  tr.tracer.counter("lobsim.engine.tasks_completed", 42.0);
 
-  const auto events = util::parse_trace_jsonl(sink.buffer());
+  const auto events = tr.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].phase, 'B');
   EXPECT_EQ(events[0].cat, "task");
@@ -176,22 +199,23 @@ TEST(JsonlSink, EventsRoundTripThroughParser) {
 }
 
 TEST(JsonlSink, DoublesSurviveExactly) {
-  util::JsonlTraceSink sink("");
+  ManualTrace tr;
   const double awkward = 0.1 + 0.2;  // not representable prettily
-  sink.counter("x", awkward, 1.0 / 3.0);
-  sink.close();
-  const auto events = util::parse_trace_jsonl(sink.buffer());
+  tr.t = awkward;
+  tr.tracer.counter("x", 1.0 / 3.0);
+  const auto events = tr.events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].t, awkward);       // bitwise, thanks to %.17g
+  EXPECT_EQ(events[0].t, awkward);  // bitwise, thanks to %.17g
   EXPECT_EQ(events[0].value, 1.0 / 3.0);
 }
 
 TEST(JsonlSink, EscapesQuotesAndBackslashes) {
-  util::JsonlTraceSink sink("");
-  sink.begin("cat\"x", "na\\me", 0, 0.0);
-  sink.end("cat\"x", "na\\me", 0, 1.0, {});
-  sink.close();
-  const auto events = util::parse_trace_jsonl(sink.buffer());
+  ManualTrace tr;
+  {
+    util::Span span = tr.tracer.span("cat\"x", "na\\me", 0);
+    tr.t = 1.0;
+  }
+  const auto events = tr.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].cat, "cat\"x");
   EXPECT_EQ(events[0].name, "na\\me");
@@ -206,17 +230,23 @@ TEST(JsonlSink, ParserRejectsGarbage) {
                std::runtime_error);
 }
 
-// ------------------------------------------------------------ Chrome sink ----
+// ----------------------------------------------------------- Chrome output ----
 
 TEST(ChromeSink, ProducesTraceEventArray) {
-  util::ChromeTraceSink sink("");
-  sink.begin("task", "analysis", 3, 1.0);
-  sink.end("task", "analysis", 3, 2.0, {{"cpu", 1.5}});
-  sink.instant("xrootd", "outage_begin", 0, 2.5, {});
-  sink.counter("lobsim.engine.running_tasks", 3.0, 17.0);
-  sink.close();
+  ManualTrace tr(util::TraceFormat::Chrome);
+  tr.t = 1.0;
+  {
+    util::Span span = tr.tracer.span("task", "analysis", 3);
+    tr.t = 2.0;
+    span.arg("cpu", 1.5);
+  }
+  tr.t = 2.5;
+  tr.tracer.instant("xrootd", "outage_begin");
+  tr.t = 3.0;
+  tr.tracer.counter("lobsim.engine.running_tasks", 17.0);
+  tr.tracer.close();
 
-  const std::string& buf = sink.buffer();
+  const std::string& buf = tr.tracer.buffer();
   EXPECT_EQ(buf.rfind("{\"traceEvents\":[", 0), 0u) << buf;
   EXPECT_NE(buf.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(buf.find("\"ph\":\"E\""), std::string::npos);
@@ -230,62 +260,202 @@ TEST(ChromeSink, ProducesTraceEventArray) {
       << "tail: " << buf.substr(buf.size() - 8);
 }
 
+// ------------------------------------------------------------ pinned bytes ----
+
+namespace {
+
+/// One fixed event sequence, written in `format`: nested spans, a span with
+/// 12 args, instants with and without args, counters, escaped names and the
+/// awkward double 0.1 + 0.2.
+std::string pinned_sequence(util::TraceFormat format) {
+  ManualTrace tr(format);
+  const double awkward = 0.1 + 0.2;
+  tr.t = 0.25;
+  util::Span outer = tr.tracer.span("task", "analysis", 7);
+  tr.t = awkward;
+  util::Span inner = tr.tracer.span("segment", "execute", 7);
+  tr.t = 1.0;
+  tr.tracer.instant("lobsim", "marker");
+  tr.t = 1.25;
+  tr.tracer.instant("lobsim", "task_failed", 3,
+                    {{"exit", 211.0}, {"ratio", 1.0 / 3.0}});
+  tr.t = 1.5;
+  inner.arg("cpu", awkward);
+  inner.end();
+  tr.t = 2.0;
+  tr.tracer.counter("lobsim.engine.running_tasks", 17.0);
+  tr.t = 2.5;
+  {
+    util::Span wide = tr.tracer.span("task", "merge", 1ULL << 40);
+    const char* keys[] = {"a0", "a1", "a2", "a3", "a4",  "a5",
+                          "a6", "a7", "a8", "a9", "a10", "a11"};
+    const double values[] = {0.0,    -2.5,   1e-300, 1e21,    123456789.125,
+                             0.1,    1e-7,   -0.0,   4503599627370497.0,
+                             2.0 / 3.0, 1e100, 5e-324};
+    for (std::size_t i = 0; i < 12; ++i) wide.arg(keys[i], values[i]);
+    tr.t = 3.0;
+  }
+  tr.t = 3.5;
+  {
+    util::Span esc = tr.tracer.span("cat\"q", "na\\me", 0);
+    esc.arg("k\"ey", 1.0);
+    tr.t = 3.75;
+  }
+  tr.t = 4.0;
+  outer.end();
+  tr.tracer.counter("x", awkward);
+  tr.tracer.close();
+  return tr.tracer.buffer();
+}
+
+}  // namespace
+
+TEST(TraceBytes, PinnedJsonlAndChrome) {
+  // Captured from the two-sink writer this one replaced: a writer change
+  // must leave trace files byte-identical.
+  const std::string jsonl =
+R"pin({"ev":"B","t":0.25,"track":7,"cat":"task","name":"analysis"}
+{"ev":"B","t":0.30000000000000004,"track":7,"cat":"segment","name":"execute"}
+{"ev":"i","t":1,"track":0,"cat":"lobsim","name":"marker"}
+{"ev":"i","t":1.25,"track":3,"cat":"lobsim","name":"task_failed","args":{"exit":211,"ratio":0.33333333333333331}}
+{"ev":"E","t":1.5,"track":7,"cat":"segment","name":"execute","args":{"cpu":0.30000000000000004}}
+{"ev":"C","t":2,"track":0,"name":"lobsim.engine.running_tasks","value":17}
+{"ev":"B","t":2.5,"track":1099511627776,"cat":"task","name":"merge"}
+{"ev":"E","t":3,"track":1099511627776,"cat":"task","name":"merge","args":{"a0":0,"a1":-2.5,"a2":1e-300,"a3":1e+21,"a4":123456789.125,"a5":0.10000000000000001,"a6":9.9999999999999995e-08,"a7":-0,"a8":4503599627370497,"a9":0.66666666666666663,"a10":1e+100,"a11":4.9406564584124654e-324}}
+{"ev":"B","t":3.5,"track":0,"cat":"cat\"q","name":"na\\me"}
+{"ev":"E","t":3.75,"track":0,"cat":"cat\"q","name":"na\\me","args":{"k\"ey":1}}
+{"ev":"E","t":4,"track":7,"cat":"task","name":"analysis"}
+{"ev":"C","t":4,"track":0,"name":"x","value":0.30000000000000004}
+)pin";
+  const std::string chrome =
+R"pin({"traceEvents":[
+{"ph":"B","ts":250000,"pid":0,"tid":7,"cat":"task","name":"analysis"},
+{"ph":"B","ts":300000.00000000006,"pid":0,"tid":7,"cat":"segment","name":"execute"},
+{"ph":"i","ts":1000000,"pid":0,"tid":0,"cat":"lobsim","name":"marker","s":"t"},
+{"ph":"i","ts":1250000,"pid":0,"tid":3,"cat":"lobsim","name":"task_failed","s":"t","args":{"exit":211,"ratio":0.33333333333333331}},
+{"ph":"E","ts":1500000,"pid":0,"tid":7,"cat":"segment","name":"execute","args":{"cpu":0.30000000000000004}},
+{"ph":"C","ts":2000000,"pid":0,"tid":0,"cat":"counter","name":"lobsim.engine.running_tasks","args":{"value":17}},
+{"ph":"B","ts":2500000,"pid":0,"tid":1099511627776,"cat":"task","name":"merge"},
+{"ph":"E","ts":3000000,"pid":0,"tid":1099511627776,"cat":"task","name":"merge","args":{"a0":0,"a1":-2.5,"a2":1e-300,"a3":1e+21,"a4":123456789.125,"a5":0.10000000000000001,"a6":9.9999999999999995e-08,"a7":-0,"a8":4503599627370497,"a9":0.66666666666666663,"a10":1e+100,"a11":4.9406564584124654e-324}},
+{"ph":"B","ts":3500000,"pid":0,"tid":0,"cat":"cat\"q","name":"na\\me"},
+{"ph":"E","ts":3750000,"pid":0,"tid":0,"cat":"cat\"q","name":"na\\me","args":{"k\"ey":1}},
+{"ph":"E","ts":4000000,"pid":0,"tid":7,"cat":"task","name":"analysis"},
+{"ph":"C","ts":4000000,"pid":0,"tid":0,"cat":"counter","name":"x","args":{"value":0.30000000000000004}}
+]}
+)pin";
+  EXPECT_EQ(pinned_sequence(util::TraceFormat::Jsonl), jsonl);
+  EXPECT_EQ(pinned_sequence(util::TraceFormat::Chrome), chrome);
+}
+
+// ---------------------------------------------------------- tracer lifecycle ----
+
+TEST(Tracer, DisabledTracerRecordsNothing) {
+  double t = 1.0;
+  util::Tracer tracer;
+  tracer.bind_clock(&t);
+  EXPECT_FALSE(tracer.enabled());
+  {
+    util::Span span = tracer.span("task", "analysis", 1);
+    EXPECT_FALSE(span);
+    span.arg("cpu", 1.0);
+  }
+  tracer.instant("lobsim", "marker", 0, {{"exit", 1.0}});
+  tracer.counter("x", 1.0);
+  tracer.close();  // nothing open: no-op
+  EXPECT_TRUE(tracer.buffer().empty());
+}
+
+TEST(Tracer, SpanEndedAfterCloseIsDropped) {
+  ManualTrace tr;
+  util::Span span = tr.tracer.span("task", "analysis", 1);
+  EXPECT_TRUE(span);
+  const auto events = tr.events();  // closes with the span still open
+  EXPECT_FALSE(tr.tracer.enabled());
+  tr.t = 5.0;
+  span.end();  // a truncated run's coroutine teardown
+  EXPECT_FALSE(span);
+  EXPECT_EQ(util::parse_trace_jsonl(tr.tracer.buffer()).size(), 1u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].phase, 'B');
+}
+
+TEST(Tracer, CloseWritesTheFileAndThrowsWhenItCannot) {
+  const std::string path = temp_path("tracer_close.jsonl");
+  util::Tracer tracer;
+  tracer.open(util::TraceFormat::Jsonl, path);
+  tracer.instant("lobsim", "marker");
+  tracer.close();
+  EXPECT_EQ(slurp(path), "{\"ev\":\"i\",\"t\":0,\"track\":0,\"cat\":\"lobsim\","
+                         "\"name\":\"marker\"}\n");
+  std::remove(path.c_str());
+
+  tracer.open(util::TraceFormat::Chrome, "/nonexistent/dir/trace.json");
+  EXPECT_THROW(tracer.close(), std::runtime_error);
+  EXPECT_FALSE(tracer.enabled());
+}
+
 // -------------------------------------------------------------- validation ----
 
 TEST(Validate, RejectsDecreasingTimestamps) {
-  util::JsonlTraceSink sink("");
-  sink.instant("a", "x", 0, 2.0, {});
-  sink.instant("a", "y", 0, 1.0, {});
-  sink.close();
-  const auto events = util::parse_trace_jsonl(sink.buffer());
-  EXPECT_FALSE(util::validate_trace(events).empty());
+  ManualTrace tr;
+  tr.t = 2.0;
+  tr.tracer.instant("a", "x");
+  tr.t = 1.0;
+  tr.tracer.instant("a", "y");
+  EXPECT_FALSE(util::validate_trace(tr.events()).empty());
 }
 
 TEST(Validate, RejectsNegativeTimestamps) {
-  util::JsonlTraceSink sink("");
-  sink.instant("a", "x", 0, -1.0, {});
-  sink.close();
-  EXPECT_FALSE(
-      util::validate_trace(util::parse_trace_jsonl(sink.buffer())).empty());
+  ManualTrace tr;
+  tr.t = -1.0;
+  tr.tracer.instant("a", "x");
+  EXPECT_FALSE(util::validate_trace(tr.events()).empty());
 }
 
 TEST(Validate, RejectsUnbalancedSpans) {
-  util::JsonlTraceSink sink("");
-  sink.begin("task", "analysis", 1, 1.0);
-  sink.close();
-  const std::string problem =
-      util::validate_trace(util::parse_trace_jsonl(sink.buffer()));
+  ManualTrace tr;
+  tr.t = 1.0;
+  util::Span span = tr.tracer.span("task", "analysis", 1);
+  const std::string problem = util::validate_trace(tr.events());
   EXPECT_NE(problem.find("never ended"), std::string::npos) << problem;
 }
 
 TEST(Validate, RejectsEndWithoutBegin) {
-  util::JsonlTraceSink sink("");
-  sink.end("task", "analysis", 1, 1.0, {});
-  sink.close();
-  EXPECT_FALSE(
-      util::validate_trace(util::parse_trace_jsonl(sink.buffer())).empty());
+  // The Tracer pairs every end with its begin, so this shape only arrives
+  // from a foreign or damaged file.
+  EXPECT_FALSE(util::validate_trace(
+                   util::parse_trace_jsonl(
+                       "{\"ev\":\"E\",\"t\":1,\"track\":1,\"cat\":\"task\","
+                       "\"name\":\"analysis\"}\n"))
+                   .empty());
 }
 
 TEST(Validate, RejectsMismatchedSpanNames) {
-  util::JsonlTraceSink sink("");
-  sink.begin("task", "analysis", 1, 1.0);
-  sink.end("task", "merge", 1, 2.0, {});
-  sink.close();
-  EXPECT_FALSE(
-      util::validate_trace(util::parse_trace_jsonl(sink.buffer())).empty());
+  // Ending "merge" while "analysis" is open leaves nothing open after the
+  // pop, so only the name check can reject this trace.
+  const std::string problem = util::validate_trace(util::parse_trace_jsonl(
+      "{\"ev\":\"B\",\"t\":1,\"track\":1,\"cat\":\"task\","
+      "\"name\":\"analysis\"}\n"
+      "{\"ev\":\"E\",\"t\":2,\"track\":1,\"cat\":\"task\","
+      "\"name\":\"merge\"}\n"));
+  EXPECT_NE(problem.find("innermost open span"), std::string::npos) << problem;
 }
 
 TEST(Validate, AcceptsNestedAndInterleavedTracks) {
-  util::JsonlTraceSink sink("");
-  sink.begin("task", "analysis", 1, 1.0);
-  sink.begin("segment", "execute", 1, 1.5);  // nested on the same track
-  sink.begin("task", "merge", 2, 1.7);       // concurrent on another track
-  sink.end("segment", "execute", 1, 2.0, {});
-  sink.end("task", "merge", 2, 2.5, {});
-  sink.end("task", "analysis", 1, 3.0, {});
-  sink.close();
-  EXPECT_TRUE(
-      util::validate_trace(util::parse_trace_jsonl(sink.buffer())).empty());
+  ManualTrace tr;
+  tr.t = 1.0;
+  util::Span analysis = tr.tracer.span("task", "analysis", 1);
+  tr.t = 1.5;
+  util::Span execute = tr.tracer.span("segment", "execute", 1);  // nested
+  tr.t = 1.7;
+  util::Span merge = tr.tracer.span("task", "merge", 2);  // another track
+  tr.t = 2.0;
+  execute.end();
+  tr.t = 2.5;
+  merge.end();
+  tr.t = 3.0;
+  analysis.end();
+  EXPECT_TRUE(util::validate_trace(tr.events()).empty());
 }
 
 // ----------------------------------------------------------- counter plane ----
@@ -329,26 +499,31 @@ TEST(CounterPlane, BumpToleratesNull) {
 // -------------------------------------------------------------- trace replay ----
 
 TEST(TraceReplay, RebuildsRecordsFromEndEventArgs) {
-  util::JsonlTraceSink sink("");
-  sink.begin("task", "analysis", 9, 10.0);
-  sink.end("task", "analysis", 9, 110.0,
-           {{"status", 2.0},
-            {"exit", 0.0},
-            {"tasklets", 6.0},
-            {"cpu", 80.0},
-            {"lost", 0.0},
-            {"execute", 90.0},
-            {"execute_io", 5.0},
-            {"stage_in", 3.0},
-            {"stage_out", 2.0}});
+  ManualTrace tr;
+  tr.t = 10.0;
+  {
+    util::Span span = tr.tracer.span("task", "analysis", 9);
+    tr.t = 110.0;
+    span.arg("status", 2.0);
+    span.arg("exit", 0.0);
+    span.arg("tasklets", 6.0);
+    span.arg("cpu", 80.0);
+    span.arg("lost", 0.0);
+    span.arg("execute", 90.0);
+    span.arg("execute_io", 5.0);
+    span.arg("stage_in", 3.0);
+    span.arg("stage_out", 2.0);
+  }
   // A reducer span carries no status and must not become a record.
-  sink.begin("task", "hadoop_reduce", 1 << 20, 120.0);
-  sink.end("task", "hadoop_reduce", 1 << 20, 130.0, {{"bytes", 1e9}});
-  sink.counter("lobsim.engine.tasks_completed", 130.0, 1.0);
-  sink.close();
+  tr.t = 120.0;
+  {
+    util::Span span = tr.tracer.span("task", "hadoop_reduce", 1 << 20);
+    tr.t = 130.0;
+    span.arg("bytes", 1e9);
+  }
+  tr.tracer.counter("lobsim.engine.tasks_completed", 1.0);
 
-  const auto replay =
-      core::replay_trace(util::parse_trace_jsonl(sink.buffer()));
+  const auto replay = core::replay_trace(tr.events());
   ASSERT_EQ(replay.records.size(), 1u);
   const core::TaskRecord& rec = replay.records[0];
   EXPECT_EQ(rec.status, core::TaskStatus::Done);

@@ -113,9 +113,10 @@ TEST(Master, FailuresAndExceptionsCounted) {
   EXPECT_EQ(master.completed(), 1u);
   EXPECT_EQ(master.failed(), 2u);
   for (const auto& r : results) {
-    if (r.id == 2)
+    if (r.id == 2) {
       EXPECT_EQ(r.exit_code,
                 static_cast<int>(wq::TaskExit::ExecutionFailure));
+    }
   }
 }
 
