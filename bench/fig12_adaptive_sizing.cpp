@@ -56,8 +56,10 @@ int main() {
     table.row({regime, util::Table::num(stat.efficiency, 3),
                util::Table::num(best_hours, 2) + " h",
                util::Table::num(best_eff, 3),
-               "+" + util::Table::num(100.0 * (best_eff - stat.efficiency), 1) +
-                   " pp"});
+               std::string("+")
+                   .append(util::Table::num(
+                       100.0 * (best_eff - stat.efficiency), 1))
+                   .append(" pp")});
   }
   std::fputs(table.str().c_str(), stdout);
 

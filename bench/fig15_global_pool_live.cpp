@@ -16,16 +16,14 @@
 // Usage: fig15_global_pool_live [--cores N] [--users N] [--tasklet-seconds S]
 //   --cores 2200 --users 40   is the scaled-down CI smoke configuration.
 //
-// Writes BENCH_fig15_global_pool_live.json (kernel events/s over the live
-// run) for the perf-gate trajectory.  Exit code 1 when the live-vs-model
-// deviation exceeds 5%.
+// Exit code 1 when the live-vs-model deviation exceeds 5%.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "lobsim/global_pool.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -107,14 +105,12 @@ int main(int argc, char** argv) {
     model_makespan = std::max(model_makespan, o.finish_time);
   const double model_goodput = total_core_seconds / model_makespan;
 
-  benchjson::Stopwatch sw;
-  sw.start();
+  const auto t0 = std::chrono::steady_clock::now();
   const auto live =
       lobsim::simulate_global_pool_live(opt.cores, users, opt.tasklet_seconds);
-  const double wall = sw.stop();
-  benchjson::write_snapshot(
-      "fig15_global_pool_live",
-      {static_cast<double>(live.events_executed), wall});
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
 
   std::printf(
       "\n%.0f cores, %zu campaigns, %.3g core-hours of work\n"

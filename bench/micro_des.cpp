@@ -5,14 +5,10 @@
 // All timed regions measure sim.run() only — scenario setup (scheduling the
 // event burst, spawning the processes) happens outside the measurement, so
 // the numbers are steady-state kernel throughput, not allocator warm-up.
-// The headline event-throughput measurement additionally writes
-// BENCH_micro_des.json (see bench_json.hpp) for the CI perf-regression
-// gate; `--headline-only` runs just that part.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
-#include "bench_json.hpp"
 #include "des/bandwidth.hpp"
 #include "des/resource.hpp"
 #include "des/simulation.hpp"
@@ -20,37 +16,6 @@
 
 namespace des = lobster::des;
 namespace lu = lobster::util;
-namespace bj = lobster::benchjson;
-
-namespace {
-
-// Headline: 1M lightweight callbacks over 100k distinct timestamps (about
-// ten same-timestamp events per drain batch — the tie density an Engine run
-// produces through event triggers and zero-delay resumes).  Insertion order
-// is scattered by a prime stride so the queue cannot ride a sorted input.
-bj::Headline headline_event_throughput() {
-  constexpr std::uint64_t kEvents = 1000000;
-  constexpr int kReps = 3;
-  bj::Headline best;
-  for (int rep = 0; rep < kReps; ++rep) {
-    des::Simulation sim;
-    std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < kEvents; ++i) {
-      const double at = static_cast<double>((i * 7919) % 100000) * 0.01;
-      sim.schedule(at, [&sink] { ++sink; });
-    }
-    bj::Stopwatch sw;
-    sw.start();
-    sim.run();
-    const double wall = sw.stop();
-    benchmark::DoNotOptimize(sink);
-    if (best.wall_s == 0.0 || wall < best.wall_s)
-      best = {static_cast<double>(kEvents), wall};
-  }
-  return best;
-}
-
-}  // namespace
 
 static void BM_EventScheduling(benchmark::State& state) {
   for (auto _ : state) {
@@ -135,14 +100,4 @@ static void BM_BandwidthFlowChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BandwidthFlowChurn)->Arg(100)->Arg(1000)->Arg(4000);
 
-int main(int argc, char** argv) {
-  const bool headline_only = bj::headline_only(argc, argv);
-  bj::strip_headline_flag(&argc, argv);
-  bj::write_snapshot("micro_des", headline_event_throughput());
-  if (headline_only) return 0;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

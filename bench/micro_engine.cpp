@@ -9,21 +9,12 @@
 // BM_CampaignSpeedup prints the jobs=N / jobs=1 wall-clock ratio as the
 // "speedup" counter; the acceptance bar for the parallel harness is >1.5x
 // at 4 jobs over 8 seeds on a 4+ core machine.
-//
-// The headline measurement (BENCH_micro_engine.json) constructs one Engine
-// directly and times only engine.run(): construction, RNG stream setup, and
-// metrics allocation are excluded, so the number is steady-state DES events
-// per wall-second through the full lobsim stack.  It runs the campaign spec
-// scaled up 8x in cores and 40x in tasklets, so one timed run lasts tens of
-// milliseconds and timer resolution and one-off stalls do not dominate it.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 
-#include "bench_json.hpp"
 #include "lobsim/campaign.hpp"
-#include "lobsim/engine.hpp"
 
 using namespace lobster;
 
@@ -43,33 +34,6 @@ lobsim::RunSpec small_spec() {
   spec.time_cap = 10.0 * 86400.0;
   spec.metric_bin_seconds = 3600.0;
   return spec;
-}
-
-lobsim::RunSpec headline_spec() {
-  lobsim::RunSpec spec = small_spec();
-  spec.cluster.target_cores = 512;
-  spec.workload.num_tasklets = 24000;
-  return spec;
-}
-
-// Headline: one Engine run of headline_spec(), setup excluded.  The unit of
-// work is DES events dispatched by the kernel.
-benchjson::Headline headline_engine_throughput() {
-  constexpr int kReps = 10;
-  benchjson::Headline best;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto spec = headline_spec();
-    lobsim::Engine engine(spec.cluster, spec.workload, spec.seed,
-                          spec.metric_bin_seconds);
-    benchjson::Stopwatch sw;
-    sw.start();
-    engine.run(spec.time_cap);
-    const double wall = sw.stop();
-    const double events =
-        static_cast<double>(engine.sim().events_executed());
-    if (best.wall_s == 0.0 || wall < best.wall_s) best = {events, wall};
-  }
-  return best;
 }
 
 double run_campaign(std::size_t jobs, std::size_t seeds) {
@@ -121,14 +85,4 @@ BENCHMARK(BM_CampaignSpeedup)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool headline_only = benchjson::headline_only(argc, argv);
-  benchjson::strip_headline_flag(&argc, argv);
-  benchjson::write_snapshot("micro_engine", headline_engine_throughput());
-  if (headline_only) return 0;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,18 +7,15 @@
 // steady population of long transfers, plus waves of same-timestamp joins
 // of small transfers that complete quickly (a dispatch burst followed by
 // its drain).  The naive link pays a full sort + water-fill per event; the
-// incremental link coalesces each burst into one boundary re-solve.  The
-// headline (BENCH_micro_net.json, wired into the CI perf gate) is the
-// incremental link's event throughput at 100k flows; the binary exits
-// non-zero unless the incremental solver beats the full-recompute baseline
-// by >= 10x there, so the PR's central perf claim is machine-checked.
-//
-// `--headline-only` measures just the 100k point (what CI runs); the full
-// run prints the 1k/10k/100k comparison table.
+// incremental link coalesces each burst into one boundary re-solve.  It
+// prints the 1k/10k/100k comparison table and exits non-zero unless the
+// incremental solver beats the full-recompute baseline by >= 10x at 100k
+// flows, so the solver's central perf claim is machine-checked.
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 
-#include "bench_json.hpp"
 #include "des/bandwidth.hpp"
 #include "des/simulation.hpp"
 #include "reference_link.hpp"
@@ -26,7 +23,6 @@
 
 namespace des = lobster::des;
 namespace lu = lobster::util;
-namespace bj = lobster::benchjson;
 namespace testref = lobster::testref;
 
 namespace {
@@ -55,7 +51,7 @@ void settle(testref::ReferenceLink& l) { l.settle(); }
 // before the next.  Returns simulator events per wall second over the
 // churn phase only (population setup and the t=0 settle are excluded).
 template <typename Link>
-bj::Headline churn(std::size_t n, int waves, int burst) {
+double churn(std::size_t n, int waves, int burst) {
   des::Simulation sim;
   Link link(sim, kCapacity);
   lu::Rng rng(20260808);
@@ -76,25 +72,23 @@ bj::Headline churn(std::size_t n, int waves, int burst) {
   }
   sim.run_until(0.5);  // flush setup events outside the timed region
   const std::uint64_t events0 = sim.events_executed();
-  bj::Stopwatch sw;
-  sw.start();
+  const auto t0 = std::chrono::steady_clock::now();
   sim.run_until(1.5 + static_cast<double>(waves));
-  const double wall = sw.stop();
-  const std::uint64_t events = sim.events_executed() - events0;
-  return {static_cast<double>(events), wall};
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  return static_cast<double>(sim.events_executed() - events0) / wall;
 }
 
 struct Row {
   std::size_t flows;
-  bj::Headline inc;
   double inc_eps;
   double ref_eps;
 };
 
 Row measure(std::size_t n, int inc_waves, int ref_waves, int burst) {
-  const bj::Headline inc = churn<des::BandwidthLink>(n, inc_waves, burst);
-  const bj::Headline ref = churn<testref::ReferenceLink>(n, ref_waves, burst);
-  return {n, inc, inc.events_per_s(), ref.events_per_s()};
+  return {n, churn<des::BandwidthLink>(n, inc_waves, burst),
+          churn<testref::ReferenceLink>(n, ref_waves, burst)};
 }
 
 void print_row(const Row& r) {
@@ -104,21 +98,15 @@ void print_row(const Row& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool headline_only = bj::headline_only(argc, argv);
+int main() {
   constexpr int kBurst = 100;
   std::printf("micro_net: dispatch-burst churn, incremental vs "
               "full-recompute max-min solver\n");
   std::printf("    flows |  inc events/s |  ref events/s | speedup\n");
-  if (!headline_only) {
-    print_row(measure(1000, 40, 20, kBurst));
-    print_row(measure(10000, 40, 8, kBurst));
-  }
+  print_row(measure(1000, 40, 20, kBurst));
+  print_row(measure(10000, 40, 8, kBurst));
   const Row big = measure(100000, 20, 3, kBurst);
   print_row(big);
-  // The snapshot the perf gate diffs across PRs: the incremental link's
-  // throughput at the 100k-flow point.
-  bj::write_snapshot("micro_net", big.inc);
   const double speedup = big.inc_eps / big.ref_eps;
   if (!(speedup >= 10.0)) {
     std::fprintf(stderr,

@@ -20,8 +20,10 @@
 //    percent on this workload.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "lobsim/campaign.hpp"
@@ -47,9 +49,15 @@ lobsim::RunSpec small_spec() {
   return spec;
 }
 
-double time_run(const lobsim::RunSpec& spec) {
+/// Wall seconds of one engine.run() of `spec`, construction excluded; with
+/// `traced` the full event stream is recorded and formatted in memory, but
+/// nothing hits the filesystem — isolates tracing cost from disk.
+double time_run(const lobsim::RunSpec& spec, bool traced) {
+  lobsim::Engine engine(spec.cluster, spec.workload, spec.seed,
+                        spec.metric_bin_seconds);
+  if (traced) engine.enable_tracing("", util::TraceFormat::Jsonl);
   const auto t0 = std::chrono::steady_clock::now();
-  lobsim::Campaign::execute(spec);
+  engine.run(spec.time_cap);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -139,29 +147,18 @@ void BM_EngineUntraced(benchmark::State& state) {
 BENCHMARK(BM_EngineUntraced)->Unit(benchmark::kMillisecond);
 
 void BM_EngineTraced(benchmark::State& state) {
-  lobsim::RunSpec spec = small_spec();
-  // Empty path: the full event stream is recorded and formatted in memory,
-  // but nothing hits the filesystem — isolates tracing cost from disk.
-  spec.trace_path = "";
-  for (auto _ : state) {
-    lobsim::Engine engine(spec.cluster, spec.workload, spec.seed,
-                          spec.metric_bin_seconds);
-    engine.enable_tracing("", util::TraceFormat::Jsonl);
-    const auto& m = engine.run(spec.time_cap);
-    benchmark::DoNotOptimize(m.makespan);
+  const lobsim::RunSpec spec = small_spec();
+  for (auto _ : state) benchmark::DoNotOptimize(time_run(spec, true));
+  // Overhead sample for the report: traced / untraced, each side the best
+  // of a few alternating runs so one host stall does not decide the ratio.
+  constexpr int kOverheadReps = 5;
+  double untraced = std::numeric_limits<double>::infinity();
+  double traced = untraced;
+  for (int i = 0; i < kOverheadReps; ++i) {
+    untraced = std::min(untraced, time_run(spec, false));
+    traced = std::min(traced, time_run(spec, true));
   }
-  // One out-of-loop overhead sample for the report: traced / untraced.
-  const double untraced = time_run(small_spec());
-  lobsim::RunSpec traced = small_spec();
-  lobsim::Engine engine(traced.cluster, traced.workload, traced.seed,
-                        traced.metric_bin_seconds);
-  engine.enable_tracing("", util::TraceFormat::Jsonl);
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run(traced.time_cap);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double traced_s = std::chrono::duration<double>(t1 - t0).count();
-  state.counters["overhead"] =
-      untraced > 0.0 ? traced_s / untraced : 0.0;
+  state.counters["overhead"] = traced / untraced;
 }
 BENCHMARK(BM_EngineTraced)->Unit(benchmark::kMillisecond);
 

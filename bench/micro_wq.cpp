@@ -48,9 +48,10 @@ static void BM_ForemanHierarchyDispatch(benchmark::State& state) {
     std::vector<std::unique_ptr<wq::Worker>> workers;
     for (int f = 0; f < 4; ++f) {
       foremen.push_back(
-          std::make_unique<wq::Foreman>("f" + std::to_string(f), master, 32));
+          std::make_unique<wq::Foreman>(
+              std::string("f").append(std::to_string(f)), master, 32));
       workers.push_back(std::make_unique<wq::Worker>(
-          "w" + std::to_string(f), *foremen.back(), 2));
+          std::string("w").append(std::to_string(f)), *foremen.back(), 2));
     }
     run_tasks(master, n);
     for (auto& w : workers) w->join();

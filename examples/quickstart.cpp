@@ -11,7 +11,9 @@
 //
 // Build: cmake --build build && ./build/examples/quickstart
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "chirp/chirp.hpp"
@@ -61,6 +63,13 @@ int main() {
   const auto ticket = chirp_server.issue_ticket(
       "/store/user/quickstart", chirp::Rights::Read | chirp::Rights::Write |
                                     chirp::Rights::List);
+
+  // Analysis tasks name their Chirp output after their first tasklet.
+  const auto chirp_output = [](std::uint64_t first_tasklet) {
+    return std::string("/store/user/quickstart/task_")
+        .append(std::to_string(first_tasklet))
+        .append(".root");
+  };
 
   // --- the workflow --------------------------------------------------------
   const auto ini = util::Config::parse(R"(
@@ -131,8 +140,7 @@ merge_size = 40MB
             .stage_out =
                 [&, first_id, output_bytes](wq::TaskContext&) {
                   auto session = chirp_server.connect(ticket);
-                  session.put("/store/user/quickstart/task_" +
-                                  std::to_string(first_id) + ".root",
+                  session.put(chirp_output(first_id),
                               std::string(static_cast<std::size_t>(
                                               output_bytes / 1e4),
                                           'x'));
@@ -141,16 +149,24 @@ merge_size = 40MB
         };
       };
 
-  // Merge payload: concatenate the group's outputs inside Chirp.
+  // Merge payload: concatenate the group's outputs inside Chirp.  The
+  // scheduler builds it on its own thread, where the Lobster DB may be read
+  // (`db` is set once the scheduler exists); the merge runs on a worker.
+  const core::Db* db = nullptr;
+  std::map<std::string, std::vector<std::string>> merge_inputs;
   core::MergePayload merge = [&](const core::MergeGroup& group,
-                                 const std::vector<core::OutputRecord>&) {
+                                 const std::vector<core::OutputRecord>& outs) {
+    std::vector<std::string>& inputs = merge_inputs[group.merged_path];
+    for (const auto& out : outs)
+      inputs.push_back(chirp_output(db->task(out.task_id).tasklets.front()));
     return core::WrapperStages{
         .execute =
-            [&, merged = group.merged_path](wq::TaskContext&) {
+            [&, merged = group.merged_path, inputs](wq::TaskContext&) {
               auto session = chirp_server.connect(ticket);
-              // Inputs were written under /store/user/quickstart.
-              session.list("/store/user/quickstart/task_");
-              session.put("/store/user/quickstart/" + merged, "merged");
+              std::string content;
+              for (const auto& in : inputs) content += session.get(in);
+              session.put(std::string("/store/user/quickstart/").append(merged),
+                          std::move(content));
               return 0;
             },
     };
@@ -158,6 +174,7 @@ merge_size = 40MB
 
   // --- run ------------------------------------------------------------------
   core::Scheduler scheduler(config, analysis, merge);
+  db = &scheduler.db();
   wq::Master master;
   wq::Worker w1("campus-node-1", master, 4);
   wq::Worker w2("campus-node-2", master, 4);
@@ -191,10 +208,29 @@ merge_size = 40MB
               " construction)");
   }
 
+  // Each merged file must hold exactly the bytes of the outputs it merged.
+  bool merges_ok = true;
+  auto session = chirp_server.connect(ticket);
+  for (const auto& merged : report.merged_files) {
+    std::uint64_t inputs = 0;
+    for (const auto& in : merge_inputs.at(merged))
+      inputs += session.stat(in).size;
+    const std::uint64_t size =
+        session.stat(std::string("/store/user/quickstart/").append(merged))
+            .size;
+    if (size != inputs) {
+      std::fprintf(stderr, "merged file %s holds %llu bytes, its inputs %llu\n",
+                   merged.c_str(), static_cast<unsigned long long>(size),
+                   static_cast<unsigned long long>(inputs));
+      merges_ok = false;
+    }
+  }
+
   // Persist the Lobster DB: `lobster_report quickstart_journal.jsonl`
   // drills into it offline, and Scheduler::resume() can continue from it.
   scheduler.db().save_journal("quickstart_journal.jsonl");
   std::puts("journal written    : quickstart_journal.jsonl "
             "(inspect with tools/lobster_report)");
-  return report.tasklets_processed == report.tasklets_total ? 0 : 1;
+  return report.tasklets_processed == report.tasklets_total && merges_ok ? 0
+                                                                      : 1;
 }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "lobsim/engine.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
@@ -48,36 +47,6 @@ struct RunSpec {
   /// Online advisor loop (advisor.hpp); enabled=false leaves the engine —
   /// and its trace bytes — exactly as before.
   AdvisorConfig advisor;
-};
-
-/// Scalar outcome of one run — the copyable subset of EngineMetrics that
-/// sweeps aggregate over.
-struct RunStats {
-  double makespan = 0.0;
-  double last_analysis_finish = 0.0;
-  double last_merge_finish = 0.0;
-  double bytes_streamed = 0.0;
-  double bytes_staged = 0.0;
-  double bytes_staged_out = 0.0;
-  std::uint64_t tasks_completed = 0;
-  std::uint64_t tasks_failed = 0;
-  std::uint64_t tasks_evicted = 0;
-  std::uint64_t merge_tasks_completed = 0;
-  std::uint64_t tasklets_processed = 0;
-  std::uint64_t tasklets_retried = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_tasks = 0;
-  double steal_bytes_penalty = 0.0;
-  std::uint64_t advisor_ticks = 0;
-  std::uint64_t advisor_shrinks = 0;
-  std::uint64_t advisor_throttles = 0;
-  std::uint64_t advisor_drains = 0;
-  std::uint64_t advisor_restores = 0;
-  std::size_t peak_running = 0;
-  /// False when the run hit its time cap (or stalled) before the workflow
-  /// finished — `makespan` is then a lower bound, not a completion time.
-  bool completed = false;
-  core::RuntimeBreakdown breakdown;
 };
 
 struct RunResult {

@@ -190,7 +190,7 @@ const EngineMetrics& Engine::run(double time_cap) {
   }
   metrics_->bytes_staged_out = chirp_->bytes_in();
   // Task outcomes are counted once, on the counter plane; this block is the
-  // only writer of their EngineMetrics mirrors.  A counter that was never
+  // only writer of their RunStats mirrors.  A counter that was never
   // registered (advisor off, or a non-stealing policy) reads 0.
   const auto value = [](const auto* c) {
     return c ? c->value() : decltype(c->value()){};
@@ -209,6 +209,7 @@ const EngineMetrics& Engine::run(double time_cap) {
   metrics_->advisor_throttles = value(ctr_advisor_throttles_);
   metrics_->advisor_drains = value(ctr_advisor_drains_);
   metrics_->advisor_restores = value(ctr_advisor_restores_);
+  metrics_->breakdown = metrics_->monitor.breakdown();
   if (sim_.tracer().enabled()) {
     // Final name-ordered counter snapshot, then one atomic flush.  Spans
     // still open in truncated runs stay open in the file — that is the

@@ -108,20 +108,17 @@ struct WorkloadParams {
   double hadoop_reduce_setup = 240.0;
 };
 
-/// What happened — everything the figure benches print.  The task-outcome
-/// counts (tasks_*, merge_tasks_completed, tasklets_*, steal_*, advisor_*)
-/// are copied from the lobsim.* counter plane once, at the end of run().
-struct EngineMetrics {
-  explicit EngineMetrics(double bin_seconds)
-      : monitor(bin_seconds),
-        analysis_done(0.0, bin_seconds),
-        merge_done(0.0, bin_seconds) {}
-
-  core::Monitor monitor;
-  util::TimeSeries analysis_done;
-  util::TimeSeries merge_done;
-  /// (time, exit code) of every failed task — Figure 11 bottom panel.
-  std::vector<std::pair<double, int>> failure_events;
+/// Scalar outcome of one run — the copyable part of EngineMetrics that
+/// sweeps aggregate over.  The task-outcome counts (tasks_*,
+/// merge_tasks_completed, tasklets_*, steal_*, advisor_*) are copied from
+/// the lobsim.* counter plane once, at the end of Engine::run().
+struct RunStats {
+  double makespan = 0.0;
+  double last_analysis_finish = 0.0;
+  double last_merge_finish = 0.0;
+  double bytes_streamed = 0.0;
+  double bytes_staged = 0.0;
+  double bytes_staged_out = 0.0;
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_failed = 0;
   std::uint64_t tasks_evicted = 0;
@@ -144,18 +141,29 @@ struct EngineMetrics {
   std::uint64_t advisor_throttles = 0;
   std::uint64_t advisor_drains = 0;
   std::uint64_t advisor_restores = 0;
-  double last_analysis_finish = 0.0;
-  double last_merge_finish = 0.0;
-  double bytes_streamed = 0.0;
-  double bytes_staged = 0.0;
-  double bytes_staged_out = 0.0;
-  double makespan = 0.0;
   /// Peak of the running-tasks gauge.
   std::size_t peak_running = 0;
   /// True only when the workflow genuinely finished (analysis + merging);
   /// false means the run was truncated by the time cap (or stalled), so
   /// `makespan` is a lower bound, not a completion time.
   bool completed = false;
+  /// The monitor's runtime breakdown at the end of the run (Figure 8).
+  core::RuntimeBreakdown breakdown;
+};
+
+/// What happened — everything the figure benches print: the run's
+/// RunStats plus its timelines and per-task monitor.
+struct EngineMetrics : RunStats {
+  explicit EngineMetrics(double bin_seconds)
+      : monitor(bin_seconds),
+        analysis_done(0.0, bin_seconds),
+        merge_done(0.0, bin_seconds) {}
+
+  core::Monitor monitor;
+  util::TimeSeries analysis_done;
+  util::TimeSeries merge_done;
+  /// (time, exit code) of every failed task — Figure 11 bottom panel.
+  std::vector<std::pair<double, int>> failure_events;
 };
 
 class Engine {

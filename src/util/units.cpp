@@ -7,7 +7,7 @@ namespace lobster::util {
 
 std::string format_duration(double s) {
   char buf[64];
-  if (s < 0) return "-" + format_duration(-s);
+  if (s < 0) return std::string("-").append(format_duration(-s));
   if (s < 60.0) {
     std::snprintf(buf, sizeof buf, "%.1fs", s);
   } else if (s < 3600.0) {

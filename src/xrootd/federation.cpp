@@ -28,14 +28,16 @@ std::optional<std::string> RedirectorTable::pick(const std::string& lfn) {
 FederationSim::FederationSim(des::Simulation& sim, const Params& params)
     : sim_(sim),
       params_(params),
-      uplink_(sim, params.campus_uplink_rate),
       ctr_streams_(&sim.counters().counter("xrootd.federation.streams")),
       ctr_stages_(&sim.counters().counter("xrootd.federation.stages")),
       ctr_failed_opens_(&sim.counters().counter("xrootd.federation.failed_opens")),
       ctr_outages_(&sim.counters().counter("xrootd.federation.outages")),
       ctr_bytes_streamed_(&sim.counters().gauge("xrootd.federation.bytes_streamed")),
       ctr_bytes_staged_(&sim.counters().gauge("xrootd.federation.bytes_staged")) {
-  if (!params_.paths.empty()) {
+  if (params_.paths.empty()) {
+    // One campus: the shared uplink is path 0, with no trunk behind it.
+    params_.paths.push_back({"campus", params_.campus_uplink_rate, 0});
+  } else {
     if (params_.trunks.empty())
       throw std::invalid_argument("federation: paths require trunks");
     for (const Params::Trunk& t : params_.trunks) {
@@ -43,16 +45,17 @@ FederationSim::FederationSim(des::Simulation& sim, const Params& params)
         throw std::invalid_argument("federation: bad trunk rate");
       trunk_links_.push_back(std::make_unique<des::BandwidthLink>(sim, t.rate));
     }
-    for (const Params::Path& p : params_.paths) {
-      if (p.uplink_rate <= 0.0 || p.trunk >= params_.trunks.size())
-        throw std::invalid_argument("federation: bad path");
-      path_links_.push_back(
-          std::make_unique<des::BandwidthLink>(sim, p.uplink_rate));
-    }
-    path_outage_depth_.assign(params_.paths.size(), 0);
-    path_epoch_.assign(params_.paths.size(), 0);
-    path_bytes_.assign(params_.paths.size(), 0.0);
   }
+  for (const Params::Path& p : params_.paths) {
+    if (p.uplink_rate <= 0.0 ||
+        (!trunk_links_.empty() && p.trunk >= trunk_links_.size()))
+      throw std::invalid_argument("federation: bad path");
+    path_links_.push_back(
+        std::make_unique<des::BandwidthLink>(sim, p.uplink_rate));
+  }
+  path_outage_depth_.assign(params_.paths.size(), 0);
+  path_epoch_.assign(params_.paths.size(), 0);
+  path_bytes_.assign(params_.paths.size(), 0.0);
 }
 
 bool FederationSim::path_down(std::size_t path) const {
@@ -67,7 +70,6 @@ void FederationSim::schedule_outage(double start, double duration) {
     ctr_outages_->add();
     sim_.tracer().instant("xrootd", "outage_begin");
     if (outage_depth_++ == 0) {
-      uplink_.set_capacity(0.0);
       // Global event: every site uplink drops (a path already down from
       // its own outage stays at zero either way).
       for (std::size_t i = 0; i < path_links_.size(); ++i)
@@ -76,7 +78,6 @@ void FederationSim::schedule_outage(double start, double duration) {
   });
   sim_.schedule(start + duration, [this] {
     if (--outage_depth_ == 0) {
-      uplink_.set_capacity(params_.campus_uplink_rate);
       for (std::size_t i = 0; i < path_links_.size(); ++i)
         if (path_outage_depth_[i] == 0)
           path_links_[i]->set_capacity(params_.paths[i].uplink_rate);
@@ -133,8 +134,11 @@ std::size_t FederationSim::pick_path() const {
     // a shared trunk contributes the same load to every path feeding it,
     // so without the tiebreak a saturated trunk would pin every pick to
     // the lowest index.
-    const std::pair<double, double> u{
-        std::max(up, load(*trunk_links_[params_.paths[i].trunk])), up};
+    const double hop =
+        trunk_links_.empty()
+            ? up
+            : std::max(up, load(*trunk_links_[params_.paths[i].trunk]));
+    const std::pair<double, double> u{hop, up};
     if (u < best_load) {
       best_load = u;
       best = i;
@@ -146,28 +150,7 @@ std::size_t FederationSim::pick_path() const {
 des::Task<double> FederationSim::transfer(double bytes, double& accounting,
                                           util::Gauge* volume) {
   const double t0 = sim_.now();
-  if (path_links_.empty()) {
-    // Legacy single shared uplink — unchanged, bit-identical.
-    if (outage_active()) {
-      ++failed_opens_;
-      ctr_failed_opens_->add();
-      co_await sim_.delay(params_.open_fail_delay);
-      throw AccessError("xrootd: open failed (wide-area outage)");
-    }
-    const std::uint64_t epoch = outage_counter_;
-    co_await sim_.delay(params_.open_latency);
-    co_await uplink_.transfer(bytes, params_.per_stream_rate);
-    if (outage_counter_ != epoch) {
-      // An outage began while this stream was in flight: the connection
-      // broke, and the fluid-model bytes that trickled through are moot —
-      // the task sees a read error after the stall.
-      throw AccessError("xrootd: stream broken by wide-area outage");
-    }
-    accounting += bytes;
-    volume->add(bytes);
-    co_return sim_.now() - t0;
-  }
-  // Multi-path: the redirector picks a site per the policy; the stream
+  // The redirector picks a path per the policy.  With trunks the stream
   // occupies that site's uplink AND its shared WAN trunk simultaneously and
   // completes when the slower hop drains (fluid series approximation —
   // each hop max-min-shares its own capacity among the flows crossing it).
@@ -176,18 +159,25 @@ des::Task<double> FederationSim::transfer(double bytes, double& accounting,
     ++failed_opens_;
     ctr_failed_opens_->add();
     co_await sim_.delay(params_.open_fail_delay);
-    throw AccessError("xrootd: open failed (all paths down)");
+    throw AccessError("xrootd: open failed (wide-area path down)");
   }
   const std::uint64_t epoch = outage_counter_ + path_epoch_[p];
   co_await sim_.delay(params_.open_latency);
-  auto up_done =
-      path_links_[p]->start_flow(bytes, params_.per_stream_rate);
-  auto trunk_done = trunk_links_[params_.paths[p].trunk]->start_flow(
-      bytes, params_.per_stream_rate);
-  co_await *up_done;
-  co_await *trunk_done;
-  if (outage_counter_ + path_epoch_[p] != epoch)
-    throw AccessError("xrootd: stream broken by path outage");
+  if (trunk_links_.empty()) {
+    co_await path_links_[p]->transfer(bytes, params_.per_stream_rate);
+  } else {
+    auto up_done = path_links_[p]->start_flow(bytes, params_.per_stream_rate);
+    auto trunk_done = trunk_links_[params_.paths[p].trunk]->start_flow(
+        bytes, params_.per_stream_rate);
+    co_await *up_done;
+    co_await *trunk_done;
+  }
+  if (outage_counter_ + path_epoch_[p] != epoch) {
+    // An outage began while this stream was in flight: the connection
+    // broke, and the fluid-model bytes that trickled through are moot —
+    // the task sees a read error after the stall.
+    throw AccessError("xrootd: stream broken by wide-area outage");
+  }
   accounting += bytes;
   volume->add(bytes);
   path_bytes_[p] += bytes;

@@ -78,11 +78,11 @@ class FederationSim {
     double open_fail_delay = 30.0;
 
     /// Multi-path topology (200 Gbps data plane).  When `paths` is empty
-    /// the federation behaves exactly as the legacy single shared uplink
-    /// above — bit-identical, no extra links are created.  Otherwise every
-    /// transfer picks a path per `path_policy` and occupies both the
-    /// path's site uplink and its shared WAN trunk; completion waits for
-    /// the slowest hop (fluid series approximation).
+    /// the federation has one path, "campus": the shared uplink above,
+    /// with no trunk.  Otherwise every transfer picks a path per
+    /// `path_policy` and occupies both the path's site uplink and its
+    /// shared WAN trunk; completion waits for the slowest hop (fluid
+    /// series approximation).
     struct Trunk {
       std::string name;
       double rate = 0.0;  // bytes/s
@@ -105,7 +105,7 @@ class FederationSim {
   /// In multi-path mode this is a global event: every site uplink drops.
   void schedule_outage(double start, double duration);
   /// Collapse one site's uplink for [start, start+duration): streams on
-  /// that path break, opens re-route to surviving paths.  Multi-path only.
+  /// that path break, opens re-route to surviving paths.
   void schedule_path_outage(std::size_t path, double start, double duration);
   bool outage_active() const { return outage_depth_ > 0; }
   bool path_down(std::size_t path) const;
@@ -121,12 +121,14 @@ class FederationSim {
   /// front).  Identical network path; kept separate for accounting.
   des::Task<double> stage(double bytes);
 
-  des::BandwidthLink& uplink() { return uplink_; }
+  /// The campus uplink: path 0's site uplink.
+  des::BandwidthLink& uplink() { return *path_links_[0]; }
   [[nodiscard]] double bytes_streamed() const { return bytes_streamed_; }
   [[nodiscard]] double bytes_staged() const { return bytes_staged_; }
   std::uint64_t failed_opens() const { return failed_opens_; }
 
-  // Multi-path accessors (num_paths() == 0 in legacy mode).
+  // Per-path accessors (one path, the campus uplink, unless Params::paths
+  // names several).
   [[nodiscard]] std::size_t num_paths() const { return path_links_.size(); }
   des::BandwidthLink& path_link(std::size_t i) { return *path_links_[i]; }
   des::BandwidthLink& trunk_link(std::size_t i) { return *trunk_links_[i]; }
@@ -147,9 +149,8 @@ class FederationSim {
 
   des::Simulation& sim_;
   Params params_;
-  des::BandwidthLink uplink_;
-  // Multi-path plumbing: one uplink per site path plus the shared trunks
-  // they feed (unique_ptr: BandwidthLink is non-movable).
+  // One uplink per site path plus the shared trunks they feed, none for
+  // the single campus path (unique_ptr: BandwidthLink is non-movable).
   std::vector<std::unique_ptr<des::BandwidthLink>> path_links_;
   std::vector<std::unique_ptr<des::BandwidthLink>> trunk_links_;
   std::vector<int> path_outage_depth_;

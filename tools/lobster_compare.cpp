@@ -179,8 +179,8 @@ void print_diff(const core::TraceDiff& diff) {
   for (const auto& m : diff.movers)
     movers.row({m.bucket, util::format_duration(m.before),
                 util::format_duration(m.after),
-                (m.delta < 0 ? "-" : "+") +
-                    util::format_duration(std::fabs(m.delta)),
+                std::string(m.delta < 0 ? "-" : "+")
+                    .append(util::format_duration(std::fabs(m.delta))),
                 util::Table::num(100.0 * m.share, 1) + " %"});
   std::fputs(movers.str().c_str(), stdout);
 }
