@@ -79,9 +79,9 @@ class AvailabilityModel : public core::EvictionModel {
                                     std::uint64_t phase) const = 0;
   /// Expected lifetime of a fresh incarnation starting at `now` — the
   /// queryable distribution an expected-lifetime DispatchPolicy sizes
-  /// tasks against.  Engine::next_task evaluates it on every dispatch poll
-  /// (idle 60-s polls included, tens of thousands per run), so it must be
-  /// O(1): precompute anything derived from a log at construction.
+  /// tasks against.  Engine::next_task evaluates it on every pull (each
+  /// task start, and each wake of a parked slot), so it must be O(1):
+  /// precompute anything derived from a log at construction.
   virtual double expected_lifetime(double now) const = 0;
 
   double sample_survival(util::Rng& rng) const override {

@@ -122,23 +122,43 @@ std::optional<TaskUnit> PartitionedDispatch::next(const DispatchContext& ctx) {
   return t;
 }
 
-std::optional<TaskUnit> StealingDispatch::next(const DispatchContext& ctx) {
-  if (auto task = PartitionedDispatch::next(ctx)) return task;
-  // Own share and merge queue empty: poll the siblings for the deepest
-  // backlog.  Pure function of the pool state — no RNG — so campaigns stay
-  // bitwise deterministic.
-  if (site_pending_.empty() || ctx.site >= site_pending_.size())
-    return std::nullopt;
-  ++attempts_;
+bool PartitionedDispatch::has_work_for(std::size_t site) const {
+  if (site_pending_.empty()) return !idle();
+  return !merge_queue_.empty() ||
+         (site < site_pending_.size() && site_pending_[site] > 0);
+}
+
+std::pair<std::size_t, std::uint64_t> StealingDispatch::deepest_sibling(
+    std::size_t site) const {
+  // Pure function of the pool state — no RNG — so campaigns stay bitwise
+  // deterministic.
   std::size_t victim = site_pending_.size();
   std::uint64_t deepest = 0;
   for (std::size_t s = 0; s < site_pending_.size(); ++s) {
-    if (s == ctx.site) continue;
+    if (s == site) continue;
     if (site_pending_[s] > deepest) {
       deepest = site_pending_[s];
       victim = s;
     }
   }
+  return {victim, deepest};
+}
+
+bool StealingDispatch::has_work_for(std::size_t site) const {
+  if (PartitionedDispatch::has_work_for(site)) return true;
+  if (site_pending_.empty() || site >= site_pending_.size()) return false;
+  const auto [victim, deepest] = deepest_sibling(site);
+  return victim < site_pending_.size() && deepest >= min_backlog_;
+}
+
+std::optional<TaskUnit> StealingDispatch::next(const DispatchContext& ctx) {
+  if (auto task = PartitionedDispatch::next(ctx)) return task;
+  // Own share and merge queue empty: look to the siblings for the deepest
+  // backlog.
+  if (site_pending_.empty() || ctx.site >= site_pending_.size())
+    return std::nullopt;
+  ++attempts_;
+  const auto [victim, deepest] = deepest_sibling(ctx.site);
   if (victim == site_pending_.size() || deepest < min_backlog_)
     return std::nullopt;
   TaskUnit t;

@@ -44,6 +44,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace lobster::lobsim {
@@ -99,6 +100,14 @@ class DispatchPolicy {
   std::size_t merge_backlog() const { return merge_queue_.size(); }
 
   bool idle() const { return tasklets_pending_ == 0 && merge_queue_.empty(); }
+
+  /// Whether next() would hand a slot of `site` a task right now.  The
+  /// Engine wakes a parked slot only where this holds, so a wake is never
+  /// spent on a site whose pull would come back empty.
+  [[nodiscard]] virtual bool has_work_for(std::size_t site) const {
+    (void)site;
+    return !idle();
+  }
 
   /// Apportion the already-added pending pool across sites weighted by
   /// their slot counts.  A no-op for the single-pool policies; the
@@ -246,6 +255,7 @@ class PartitionedDispatch : public DispatchPolicy {
   void partition(const std::vector<std::uint64_t>& site_slots) override;
   void return_tasklets(std::size_t site, std::uint64_t n) override;
   std::optional<TaskUnit> next(const DispatchContext& ctx) override;
+  [[nodiscard]] bool has_work_for(std::size_t site) const override;
 
   [[nodiscard]] std::size_t num_partitions() const {
     return site_pending_.size();
@@ -280,14 +290,22 @@ class StealingDispatch final : public PartitionedDispatch {
   const char* name() const override { return "stealing"; }
 
   std::optional<TaskUnit> next(const DispatchContext& ctx) override;
+  /// Own share or merges, or a sibling backlog of at least min_backlog().
+  [[nodiscard]] bool has_work_for(std::size_t site) const override;
 
   [[nodiscard]] std::uint64_t min_backlog() const { return min_backlog_; }
-  /// Steal polls by an idle site (successful or not) and chunks actually
-  /// taken; the Engine mirrors these into lobsim.steal.{attempts,tasks}.
+  /// Pulls that looked to a sibling's backlog (successful or not) and
+  /// chunks actually taken; the Engine mirrors these into
+  /// lobsim.steal.{attempts,tasks}.
   [[nodiscard]] std::uint64_t steal_attempts() const { return attempts_; }
   [[nodiscard]] std::uint64_t steal_tasks() const { return stolen_; }
 
  private:
+  /// The deepest backlog among the sites other than `site`, and its site
+  /// (site_pending_.size() when every sibling pool is empty).
+  [[nodiscard]] std::pair<std::size_t, std::uint64_t> deepest_sibling(
+      std::size_t site) const;
+
   std::uint64_t min_backlog_;
   std::uint64_t attempts_ = 0;
   std::uint64_t stolen_ = 0;

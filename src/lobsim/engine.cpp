@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -17,7 +18,16 @@ constexpr int kExitXrootdFailure = 211; // streaming open failed (outage)
 constexpr int kExitStageOutFailure = 173;
 constexpr int kExitEvicted = 179;
 
-constexpr double kIdleRetryDelay = 60.0;
+// A slot the advisor's share gate turns away re-checks after this delay.
+// Slots with no work park instead (see park()), but a gate-denied slot
+// keeps the timed re-check, which spreads a throttled site's re-admissions
+// over the delay.  Parking denied slots and waking them when the advisor
+// raises the share lost the fig11 advisor gate (advisor-on goodput 478.8
+// against 549.8 with the advisor off).
+constexpr double kGateRetryDelay = 60.0;
+
+// wake_one()'s argument for "the longest-parked slot of any site".
+constexpr std::size_t kAnySite = std::numeric_limits<std::size_t>::max();
 
 // Charges the simulated time elapsed in its scope to one segment of a
 // TaskRecord — on normal exit AND on exception unwind.  Without this, a
@@ -57,6 +67,15 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
   sites_ = std::make_unique<SiteManager>(sim_, cluster_, rng_);
   per_site_tasklets_.assign(sites_->num_sites(), 0);
   site_running_.assign(sites_->num_sites(), 0);
+  cores_per_worker_ = std::max<std::size_t>(1, cluster_.cores_per_worker);
+  std::size_t num_nodes = 0;
+  for (std::size_t s = 0; s < sites_->num_sites(); ++s) {
+    node_base_.push_back(num_nodes);
+    num_nodes += sites_->num_workers(s);
+  }
+  slot_park_.resize(num_nodes * cores_per_worker_);
+  death_timer_.assign(num_nodes, -1.0);
+  wait_lists_.resize(sites_->num_sites());
 
   dispatch_ = make_dispatch_policy(workload_.dispatch,
                                    workload_.tasklets_per_task,
@@ -85,6 +104,8 @@ Engine::Engine(ClusterParams cluster, WorkloadParams workload,
   ctr_tasklets_processed_ = &counters.counter("lobsim.engine.tasklets_processed");
   ctr_tasklets_retried_ = &counters.counter("lobsim.engine.tasklets_retried");
   ctr_merges_completed_ = &counters.counter("lobsim.engine.merge_tasks_completed");
+  ctr_slot_parks_ = &counters.counter("lobsim.engine.slot_parks");
+  ctr_slot_wakes_ = &counters.counter("lobsim.engine.slot_wakes");
   if (stealing_) {
     ctr_steal_attempts_ = &counters.counter("lobsim.steal.attempts");
     ctr_steal_tasks_ = &counters.counter("lobsim.steal.tasks");
@@ -100,7 +121,8 @@ void Engine::enable_tracing(const std::string& path, util::TraceFormat format) {
 
 /// The whole actuation surface the advisor may touch (advisor.hpp's
 /// AdvisorActions): task sizing through the dispatch policy's cap, dispatch
-/// share through the per-site gate in next_task().
+/// share through the per-site gate in core_slot().  Neither makes work
+/// appear, so neither wakes a parked slot.
 struct Engine::AdvisorPort final : AdvisorActions {
   explicit AdvisorPort(Engine& engine) : engine_(engine) {}
 
@@ -160,9 +182,12 @@ const EngineMetrics& Engine::run(double time_cap) {
       gauge_sampler(metrics_->monitor.running_timeline().bin_width() / 3.0));
   if (advisor_) sim_.spawn(advisor_loop(advisor_cfg_.period));
   // Advance in slices so progress is observable at Debug log level and a
-  // stuck scenario is diagnosable.
+  // stuck scenario is diagnosable.  Once the workflow is done and every
+  // process has exited, only stale death timers of parked slots can be
+  // pending; they must not advance the clock.
   double t = 0.0;
-  while (t < time_cap && sim_.pending_events() > 0) {
+  while (t < time_cap && sim_.pending_events() > 0 &&
+         !(done_ && sim_.live_processes() == 0)) {
     t = std::min(time_cap, t + 3600.0);
     sim_.run_until(t);
     LOBSTER_LOG_DEBUG("lobsim",
@@ -298,16 +323,37 @@ des::Process Engine::advisor_loop(double period) {
   }
 }
 
+/// The awaitable a slot with no work suspends on: it joins its site's wait
+/// list until a work source, its node's death or workflow completion
+/// resumes it.
+struct Engine::Park {
+  Engine& engine;
+  const WorkerNode& node;
+  std::size_t slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> handle) {
+    engine.park(node, slot, handle);
+  }
+  void await_resume() const noexcept {}
+};
+
 des::Process Engine::core_slot(NodeHandle handle, std::size_t slot) {
   WorkerNode& node = sites_->node(handle);  // stable dense-array slot
   while (!done_ && sim_.now() < node.death && sim_.now() < end_time_cap_) {
+    if (gate_denies(node.site)) {
+      co_await sim_.delay(kGateRetryDelay);
+      continue;
+    }
     auto task = next_task(node);
     if (!task) {
       if (workflow_complete()) co_return;
-      // Momentarily idle (e.g. waiting for merge work); poll again.
-      co_await sim_.delay(kIdleRetryDelay);
+      // Momentarily idle (e.g. waiting for merge work): park until work
+      // appears.
+      co_await Park{*this, node, slot};
       continue;
     }
+    // Work is left after this pull: hand the wake on down the wait list.
+    if (!dispatch_->idle()) wake_one(node.site);
     ++running_tasks_;
     if (node.site < site_running_.size()) ++site_running_[node.site];
     metrics_->peak_running = std::max(metrics_->peak_running, running_tasks_);
@@ -590,24 +636,27 @@ des::Task<bool> Engine::run_task(WorkerNode& node, std::size_t slot,
   co_return true;
 }
 
-std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
+bool Engine::gate_denies(std::size_t site) const {
   // Advisor dispatch-share gate: a throttled site runs at most
-  // ceil(share * slots) concurrent tasks.  A denied slot idles through the
-  // usual retry delay and re-checks, so a drain (share 0) leaves running
+  // ceil(share * slots) concurrent tasks.  A denied slot waits
+  // kGateRetryDelay and re-checks, so a drain (share 0) leaves running
   // tasks untouched and the site refills promptly once the share recovers.
   // The cap bounds *concurrency*, which is what actually sheds load from
   // the shared services (squid, chirp, uplinks); a pull-ratio pacing
   // cannot, because denied slots retry and Little's law pins steady-state
   // concurrency at the slot count regardless of the grant ratio.
-  if (advisor_ && node.site < site_share_.size()) {
-    const double share = site_share_[node.site];
-    if (share < 1.0) {
-      const double slots = static_cast<double>(
-          sites_->site_params(node.site).target_cores);
-      const auto cap = static_cast<std::size_t>(std::ceil(share * slots));
-      if (site_running_[node.site] >= cap) return std::nullopt;
-    }
-  }
+  if (!advisor_ || site >= site_share_.size()) return false;
+  const double share = site_share_[site];
+  if (share >= 1.0) return false;
+  const double slots =
+      static_cast<double>(sites_->site_params(site).target_cores);
+  const auto cap = static_cast<std::size_t>(std::ceil(share * slots));
+  return site_running_[site] >= cap;
+}
+
+std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
+  // One pull per slot that has just finished a task or was just woken: a
+  // slot that finds nothing parks rather than asking again on a timer.
   DispatchContext ctx;
   ctx.total_slots = sites_->total_slots();
   ctx.site = node.site;
@@ -618,7 +667,7 @@ std::optional<TaskUnit> Engine::next_task(const WorkerNode& node) {
   ctx.tasklet_cpu_mean = workload_.tasklet_cpu_mean;
   auto task = dispatch_->next(ctx);
   if (stealing_) {
-    // Mirror the policy's attempt count (it ticks even on failed polls) and
+    // Mirror the policy's attempt count (it ticks even on failed pulls) and
     // announce successful steals on the trace plane.
     const std::uint64_t attempts = stealing_->steal_attempts();
     const std::uint64_t mirrored = ctr_steal_attempts_->value();
@@ -678,10 +727,14 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
       planner_->add_output(workload_.tasklet_output_bytes * task.n_tasklets);
     } else {
       // Retry: the tasklets re-enter the pool they were drawn from — a
-      // stolen chunk goes back to its victim's partition, not the thief's.
-      dispatch_->return_tasklets(task.stolen ? task.victim_site : site,
-                                 task.n_tasklets);
+      // stolen chunk goes back to its victim's partition, not the thief's —
+      // and wake a slot there (or, where that pool is open to them, a
+      // slot elsewhere: a single pool, or a thief once the backlog reaches
+      // the steal minimum).
+      const std::size_t pool = task.stolen ? task.victim_site : site;
+      dispatch_->return_tasklets(pool, task.n_tasklets);
       ctr_tasklets_retried_->add(task.n_tasklets);
+      wake_one(pool);
     }
   }
 
@@ -691,13 +744,14 @@ void Engine::finish_task(const TaskUnit& task, core::TaskRecord& record,
     dispatch_->push_merge_group(group_bytes);
     sim_.tracer().instant("lobsim", "merge_planned", 0,
                           {{"bytes", group_bytes}});
+    wake_one(kAnySite);
   }
   if (plan.start_hadoop && !hadoop_started_) {
     hadoop_started_ = true;
     sim_.spawn(hadoop_merge());
   }
 
-  if (workflow_complete()) done_ = true;
+  check_done();
 }
 
 des::Process Engine::hadoop_merge() {
@@ -734,7 +788,7 @@ des::Process Engine::hadoop_merge() {
     reducers.push_back(sim_.spawn(reducer(this, slots, groups[i], i)));
   for (auto& ref : reducers) co_await ref.done();
   hadoop_done_ = true;
-  if (workflow_complete()) done_ = true;
+  check_done();
 }
 
 bool Engine::analysis_complete() const {
@@ -748,6 +802,90 @@ bool Engine::workflow_complete() const {
     return hadoop_started_ ? hadoop_done_ : false;
   return planner_->drained() && dispatch_->merge_backlog() == 0 &&
          running_merges_ == 0;
+}
+
+void Engine::check_done() {
+  if (done_ || !workflow_complete()) return;
+  done_ = true;
+  for (std::size_t site = 0; site < wait_lists_.size(); ++site) {
+    for (const WaitEntry& e : wait_lists_[site])
+      if (slot_park_[e.slot].ticket == e.ticket) wake(e.slot);
+    wait_lists_[site].clear();
+  }
+}
+
+std::size_t Engine::node_index(const WorkerNode& node) const {
+  return node_base_[node.site] + node.id;
+}
+
+std::size_t Engine::slot_index(const WorkerNode& node, std::size_t slot) const {
+  return node_index(node) * cores_per_worker_ + slot;
+}
+
+void Engine::park(const WorkerNode& node, std::size_t slot,
+                  std::coroutine_handle<> handle) {
+  const std::size_t id = slot_index(node, slot);
+  slot_park_[id] = SlotPark{handle, ++park_seq_};
+  wait_lists_[node.site].push_back(WaitEntry{id, park_seq_});
+  ctr_slot_parks_->add();
+  // A parked slot must still leave at its node's death, since worker_life
+  // waits for every slot before the worker may rejoin.  The first park of
+  // a node life arms one timer for all of its slots.  A death at or past
+  // the time cap needs none: the run stops there.
+  const std::size_t n = node_index(node);
+  if (node.death < end_time_cap_ && death_timer_[n] != node.death) {
+    death_timer_[n] = node.death;
+    const WorkerNode* dying = &node;
+    sim_.schedule(node.death - sim_.now(),
+                  [this, dying] { wake_dead_node(*dying); });
+  }
+}
+
+void Engine::wake(std::size_t slot) {
+  SlotPark& p = slot_park_[slot];
+  p.ticket = 0;
+  ctr_slot_wakes_->add();
+  sim_.schedule_resume(0.0, p.handle);
+}
+
+bool Engine::prune_front(std::size_t site) {
+  auto& list = wait_lists_[site];
+  while (!list.empty() &&
+         slot_park_[list.front().slot].ticket != list.front().ticket)
+    list.pop_front();
+  return !list.empty();
+}
+
+void Engine::wake_one(std::size_t site) {
+  std::size_t chosen = wait_lists_.size();
+  if (site < wait_lists_.size() && dispatch_->has_work_for(site) &&
+      prune_front(site)) {
+    chosen = site;
+  } else {
+    // The longest-parked slot of any site with work: the smallest park
+    // sequence number among the list fronts.
+    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t s = 0; s < wait_lists_.size(); ++s) {
+      if (prune_front(s) && wait_lists_[s].front().ticket < oldest &&
+          dispatch_->has_work_for(s)) {
+        oldest = wait_lists_[s].front().ticket;
+        chosen = s;
+      }
+    }
+    if (chosen == wait_lists_.size()) return;
+  }
+  const std::size_t slot = wait_lists_[chosen].front().slot;
+  wait_lists_[chosen].pop_front();
+  wake(slot);
+}
+
+void Engine::wake_dead_node(const WorkerNode& node) {
+  // The timer fires at the death it was armed for, before the worker can
+  // rejoin (worker_life waits for these very slots), so the life it
+  // belongs to is the current one.
+  const std::size_t first = slot_index(node, 0);
+  for (std::size_t id = first; id < first + cores_per_worker_; ++id)
+    if (slot_park_[id].ticket != 0) wake(id);
 }
 
 }  // namespace lobster::lobsim

@@ -23,7 +23,9 @@
 // runs many of them in parallel.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -128,9 +130,9 @@ struct RunStats {
   /// "wasted dispatches" an availability climate costs (each is work that
   /// had to be re-run).
   std::uint64_t tasklets_retried = 0;
-  /// Work stealing (DispatchMode::Stealing only): idle-site steal polls,
-  /// chunks actually stolen, and the extra bytes the data-locality penalty
-  /// cost the thieves.
+  /// Work stealing (DispatchMode::Stealing only): pulls that looked to a
+  /// sibling's backlog, chunks actually stolen, and the extra bytes the
+  /// data-locality penalty cost the thieves.
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_tasks = 0;
   double steal_bytes_penalty = 0.0;
@@ -216,6 +218,22 @@ class Engine {
 
  private:
   struct AdvisorPort;  // the AdvisorActions adapter (engine.cpp)
+  struct Park;         // the awaitable a slot with no work suspends on
+
+  /// One entry of a site's wait list: a parked slot and the park sequence
+  /// number it parked under.  An entry whose number no longer matches the
+  /// slot's is stale (the slot was woken at its node's death) and is
+  /// skipped when reached.
+  struct WaitEntry {
+    std::size_t slot = 0;
+    std::uint64_t ticket = 0;
+  };
+  /// A slot's parking state: the coroutine to resume and its park sequence
+  /// number, 0 while the slot is not parked.
+  struct SlotPark {
+    std::coroutine_handle<> handle;
+    std::uint64_t ticket = 0;
+  };
 
   des::Process gauge_sampler(double period);
   des::Process advisor_loop(double period);
@@ -231,10 +249,37 @@ class Engine {
   /// Pull the next task (analysis or merge) from the dispatch policy;
   /// nullopt when the pools are momentarily empty.
   std::optional<TaskUnit> next_task(const WorkerNode& node);
+  /// The advisor's share gate: true while `site` runs its capped number of
+  /// concurrent tasks.
+  bool gate_denies(std::size_t site) const;
   void finish_task(const TaskUnit& task, core::TaskRecord& record,
                    bool success, bool evicted, std::size_t site);
   bool analysis_complete() const;
   bool workflow_complete() const;
+  /// Set done_ once the workflow is complete, and wake every parked slot
+  /// so it can exit.
+  void check_done();
+
+  // ---- wake-on-work dispatch ----
+  /// Dense indices of a node and of one of its slots, over every site.
+  std::size_t node_index(const WorkerNode& node) const;
+  std::size_t slot_index(const WorkerNode& node, std::size_t slot) const;
+  /// Append a slot to its site's wait list, and arm the node's death timer
+  /// for this life if it is not armed yet.
+  void park(const WorkerNode& node, std::size_t slot,
+            std::coroutine_handle<> handle);
+  /// Resume one parked slot (now, through the event queue).  Its wait-list
+  /// entry, if still queued, goes stale.
+  void wake(std::size_t slot);
+  /// Drop stale entries off the front of a site's wait list; false when
+  /// no parked slot remains on it.
+  bool prune_front(std::size_t site);
+  /// Wake one parked slot that has work: the first on `site`'s list, else
+  /// the longest-parked slot of any site with work (`kAnySite` goes
+  /// straight to that).  Does nothing when no such slot is parked.
+  void wake_one(std::size_t site);
+  /// The death timer of a node life: wakes its parked slots so they exit.
+  void wake_dead_node(const WorkerNode& node);
   /// Trace track for a (site, worker, slot) triple.  Worker ids are
   /// per-site, so the site index is folded in to keep tracks distinct.
   static std::uint64_t task_track(const WorkerNode& node, std::size_t slot);
@@ -262,6 +307,8 @@ class Engine {
   util::Counter* ctr_tasklets_processed_ = nullptr;
   util::Counter* ctr_tasklets_retried_ = nullptr;
   util::Counter* ctr_merges_completed_ = nullptr;
+  util::Counter* ctr_slot_parks_ = nullptr;
+  util::Counter* ctr_slot_wakes_ = nullptr;
   // Registered only when the dispatch policy steals, so non-stealing runs
   // keep a byte-identical counter snapshot in their traces.
   util::Counter* ctr_steal_attempts_ = nullptr;
@@ -286,14 +333,29 @@ class Engine {
   /// Per-site dispatch-share gate (1 = unthrottled).  The share is a
   /// *concurrency* cap: a throttled site runs at most ceil(share * slots)
   /// tasks at once.  A pull-ratio pacing was tried first and discarded —
-  /// denied slots re-pull after the idle delay, so by Little's law any
+  /// denied slots re-pull after the gate delay, so by Little's law any
   /// share > 0 only adds a small per-task latency tax while steady-state
   /// concurrency (and hence squid/chirp load) stays pinned at the slot
   /// count.  The cap actually sheds load.  Deterministic, no RNG.
   std::vector<double> site_share_;
   /// Tasks currently running per site (maintained unconditionally; the
-  /// advisor gate in next_task compares it against the share cap).
+  /// advisor gate in gate_denies compares it against the share cap).
   std::vector<std::size_t> site_running_;
+
+  // ---- wake-on-work dispatch state ----
+  /// A slot that finds no work parks on its site's FIFO wait list instead
+  /// of polling; whatever makes work appear wakes one parked slot, and a
+  /// woken slot that takes a task while work remains wakes the next.
+  std::vector<std::deque<WaitEntry>> wait_lists_;
+  /// Per slot, indexed by slot_index().
+  std::vector<SlotPark> slot_park_;
+  /// First node_index() of each site.
+  std::vector<std::size_t> node_base_;
+  /// Per node: the death time its armed timer fires at (negative when none
+  /// was armed), so one timer serves every park of a node life.
+  std::vector<double> death_timer_;
+  std::size_t cores_per_worker_ = 1;
+  std::uint64_t park_seq_ = 0;
 
   // ---- workload state ----
   std::uint64_t tasklets_done_ = 0;

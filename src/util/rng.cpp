@@ -1,8 +1,11 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -21,6 +24,91 @@ std::uint64_t hash_name(std::string_view name) {
     h *= 0x100000001b3ULL;
   }
   return splitmix64(h);
+}
+
+// Order-preserving map of a non-NaN double onto an unsigned key: flip the
+// sign bit of a non-negative value, invert every bit of a negative one.
+// Unsigned key order is then numeric order, with -0.0 just below +0.0.
+std::uint64_t sort_key(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return (bits >> 63) ? ~bits : bits | (1ULL << 63);
+}
+
+double from_sort_key(std::uint64_t key) {
+  return std::bit_cast<double>((key >> 63) ? key & ~(1ULL << 63) : ~key);
+}
+
+// The radix sort keeps its keys in the samples' own storage, so it
+// allocates nothing.  The key bytes are copied in and out with memcpy and
+// never read as doubles.
+std::uint64_t load_key(const double* slot) {
+  std::uint64_t key;
+  std::memcpy(&key, slot, sizeof key);
+  return key;
+}
+
+void store_key(double* slot, std::uint64_t key) {
+  std::memcpy(slot, &key, sizeof key);
+}
+
+// In-place MSD radix sort ("American flag" sort) of n keys, one byte per
+// level from the top.  Each level counts its bucket sizes, then moves
+// every key into its bucket by following the cycle of keys it displaces.
+// Equal keys are bitwise equal, so their order does not matter.  Short
+// runs finish with an insertion sort.
+void radix_sort_keys(double* keys, std::size_t n, unsigned shift) {
+  if (n < 32) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::uint64_t k = load_key(keys + i);
+      std::size_t j = i;
+      for (; j > 0 && load_key(keys + j - 1) > k; --j)
+        store_key(keys + j, load_key(keys + j - 1));
+      store_key(keys + j, k);
+    }
+    return;
+  }
+  const auto digit = [shift](std::uint64_t k) { return (k >> shift) & 0xFF; };
+  std::array<std::size_t, 256> count{};
+  for (std::size_t i = 0; i < n; ++i) ++count[digit(load_key(keys + i))];
+  // A level whose digit is the same for every key needs no moves.
+  if (count[digit(load_key(keys))] < n) {
+    std::array<std::size_t, 256> next{};
+    std::array<std::size_t, 256> end{};
+    std::size_t offset = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      next[b] = offset;
+      offset += count[b];
+      end[b] = offset;
+    }
+    for (std::size_t b = 0; b < 256; ++b) {
+      while (next[b] < end[b]) {
+        std::uint64_t k = load_key(keys + next[b]);
+        for (std::size_t d = digit(k); d != b; d = digit(k)) {
+          const std::uint64_t displaced = load_key(keys + next[d]);
+          store_key(keys + next[d]++, k);
+          k = displaced;
+        }
+        store_key(keys + next[b]++, k);
+      }
+    }
+  }
+  if (shift == 0) return;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < 256; ++b) {
+    if (count[b] > 1) radix_sort_keys(keys + begin, count[b], shift - 8);
+    begin += count[b];
+  }
+}
+
+// Sort doubles through their sort keys: linear work per key byte, against
+// std::sort's n log n comparisons, and the same sequence of doubles.
+void radix_sort(std::vector<double>& values) {
+  for (double v : values)
+    if (std::isnan(v))
+      throw std::invalid_argument("EmpiricalDistribution: NaN sample");
+  for (double& v : values) store_key(&v, sort_key(v));
+  radix_sort_keys(values.data(), values.size(), 56);
+  for (double& v : values) v = from_sort_key(load_key(&v));
 }
 }  // namespace
 
@@ -186,7 +274,7 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
     : sorted_(std::move(samples)) {
-  std::sort(sorted_.begin(), sorted_.end());
+  radix_sort(sorted_);
   if (!sorted_.empty())
     mean_ = std::accumulate(sorted_.begin(), sorted_.end(), 0.0) /
             static_cast<double>(sorted_.size());

@@ -91,6 +91,8 @@ class Rng {
 class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;
+  /// Sorts the samples with an in-place radix sort (no scratch buffer; the
+  /// same sequence std::sort gives).  Throws std::invalid_argument on a NaN.
   explicit EmpiricalDistribution(std::vector<double> samples);
 
   bool empty() const { return sorted_.empty(); }
@@ -106,6 +108,8 @@ class EmpiricalDistribution {
   double sample(Rng& rng) const;
   /// Empirical CDF evaluated at x.
   double cdf(double x) const;
+  /// The samples in ascending order.
+  [[nodiscard]] const std::vector<double>& sorted() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;

@@ -11,6 +11,7 @@
 #include "core/merge.hpp"
 #include "lobsim/dispatch_policy.hpp"
 #include "lobsim/merge_planner.hpp"
+#include "util/rng.hpp"
 
 namespace lobster::lobsim {
 namespace {
@@ -294,6 +295,37 @@ TEST(DispatchPolicyTest, StealingHonoursMinBacklogThreshold) {
   const auto t = solo->next(ctx(64));
   ASSERT_TRUE(t.has_value());
   EXPECT_FALSE(t->stolen);
+}
+
+// The Engine wakes a parked slot only where has_work_for() holds, so it
+// must agree with next() exactly: a false "yes" spends a wake on a slot
+// that re-parks, a false "no" strands work.  Random returns, merge pushes
+// and pulls from three sites, one of which has no slots.
+TEST(DispatchPolicyTest, HasWorkForAgreesWithNext) {
+  for (auto mode : {DispatchMode::Fifo, DispatchMode::TailShrink,
+                    DispatchMode::SiteAware, DispatchMode::Lifetime,
+                    DispatchMode::Partitioned, DispatchMode::Stealing}) {
+    auto p = make_dispatch_policy(mode, 4, 0.25, 0, /*steal_min_backlog=*/5);
+    p->add_tasklets(40);
+    p->partition({8, 4, 0});
+    util::Rng rng(static_cast<std::uint64_t>(mode) + 1);
+    for (int step = 0; step < 2000; ++step) {
+      const std::size_t site = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const double u = rng.uniform();
+      if (u < 0.15) {
+        p->return_tasklets(site,
+                           static_cast<std::uint64_t>(rng.uniform_int(1, 6)));
+      } else if (u < 0.2) {
+        p->push_merge_group(1e9);
+      } else {
+        DispatchContext c = lifetime_ctx(12, 3600.0);
+        c.site = site;
+        const bool expected = p->has_work_for(site);
+        EXPECT_EQ(p->next(c).has_value(), expected)
+            << to_string(mode) << " step " << step << " site " << site;
+      }
+    }
+  }
 }
 
 // -- MergePlanner ----------------------------------------------------------

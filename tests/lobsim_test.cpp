@@ -3,7 +3,14 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "lobsim/engine.hpp"
+#include "util/trace.hpp"
 
 namespace lobsim = lobster::lobsim;
 namespace core = lobster::core;
@@ -273,4 +280,238 @@ TEST(Engine, MultiSiteBeatsSingleSiteMakespan) {
 
   EXPECT_LT(t_fleet, 0.75 * t_single)
       << "doubling the harvested cores must cut the makespan substantially";
+}
+
+// ---- wake-on-work dispatch --------------------------------------------------
+//
+// A slot with no work parks on its site's wait list; a work source wakes it
+// at the instant the work appears, its node's death wakes it so it can
+// exit, and workflow completion wakes every parked slot.  These runs use
+// one 8-core worker per site and exact task lengths (sigma 0, no output)
+// so each wake lands at a known instant.
+
+namespace {
+namespace des = lobster::des;
+namespace util = lobster::util;
+
+lobsim::WorkloadParams exact_workload(std::uint64_t tasklets,
+                                      double cpu_seconds) {
+  lobsim::WorkloadParams w;
+  w.num_tasklets = tasklets;
+  w.tasklets_per_task = 1;
+  w.tasklet_cpu_mean = cpu_seconds;
+  w.tasklet_cpu_sigma = 0.0;
+  w.tasklet_input_bytes = 0.0;
+  w.tasklet_output_bytes = 0.0;
+  w.pileup_bytes = 0.0;
+  w.sandbox_bytes = 0.0;
+  w.merge_mode = core::MergeMode::Sequential;
+  return w;
+}
+
+lobsim::ClusterParams one_worker(bool evictions) {
+  lobsim::ClusterParams c;
+  c.target_cores = 8;
+  c.cores_per_worker = 8;
+  c.ramp_seconds = 60.0;
+  c.evictions = evictions;
+  return c;
+}
+
+/// Every worker life lasts exactly `seconds`.
+lobsim::AvailabilityConfig fixed_lifetime(double seconds) {
+  lobsim::AvailabilityConfig a;
+  a.kind = lobsim::AvailabilityKind::Trace;
+  a.trace = std::make_shared<const std::vector<double>>(
+      std::vector<double>{seconds});
+  return a;
+}
+
+/// An extra dedicated 8-core site.
+lobsim::SiteParams dedicated_site() {
+  lobsim::SiteParams s;
+  s.name = "dedicated";
+  s.target_cores = 8;
+  s.ramp_seconds = 60.0;
+  s.evictions = false;
+  return s;
+}
+
+double counter(lobsim::Engine& engine, const std::string& name) {
+  for (const auto& sample : engine.sim().counters().snapshot())
+    if (sample.name == name) return sample.value;
+  return -1.0;
+}
+
+std::vector<double> event_times(const std::vector<util::TraceEvent>& events,
+                                char phase, const std::string& name) {
+  std::vector<double> out;
+  for (const auto& e : events)
+    if (e.phase == phase && e.name == name) out.push_back(e.t);
+  return out;
+}
+
+des::Process at_time(des::Simulation& sim, double t,
+                     std::function<void()> probe) {
+  co_await sim.delay(t);
+  probe();
+}
+}  // namespace
+
+TEST(WakeOnWork, IdleTailCostsNoEventsPerIdleMinute) {
+  // TailShrink hands the first pull two tasklets and every later pull one,
+  // so in the long run one slot works 20 h while seven slots idle for the
+  // last 10 h.  A 60-s poll would cost 7 x 600 events there; a parked
+  // slot costs none.  The 36 000-s bin keeps the gauge sampler out of it.
+  auto run = [](std::uint64_t tasklets) {
+    auto wl = exact_workload(tasklets, 36000.0);
+    wl.dispatch = lobsim::DispatchMode::TailShrink;
+    wl.tasklets_per_task = 2;
+    lobsim::Engine engine(one_worker(false), wl, 5, 3.0 * 36000.0);
+    const auto& m = engine.run();
+    EXPECT_TRUE(m.completed);
+    return std::make_tuple(m.makespan,
+                           counter(engine, "des.kernel.events_dispatched"),
+                           counter(engine, "lobsim.engine.slot_parks"));
+  };
+  const auto [base_makespan, base_events, base_parks] = run(8);
+  const auto [tail_makespan, tail_events, tail_parks] = run(9);
+  EXPECT_NEAR(tail_makespan - base_makespan, 36000.0, 1.0)
+      << "the last task runs 10 h longer";
+  EXPECT_GT(tail_parks, 0.0);
+  EXPECT_LE(tail_parks, base_parks + 7.0) << "seven slots park once more";
+  EXPECT_LT(tail_events - base_events, 20.0)
+      << "10 idle hours on 7 slots must cost O(1) events, not ~4200";
+}
+
+TEST(WakeOnWork, EvictedTaskRetriesAtTheEvictionInstant) {
+  // The home worker pulls first and takes all eight tasks; the dedicated
+  // site's slots park.  The home worker dies mid-task, and each evicted
+  // tasklet must restart on a parked slot at the instant it is returned.
+  auto cluster = one_worker(true);
+  cluster.availability = fixed_lifetime(3600.0);
+  cluster.rejoin_mean_seconds = 1e6;
+  cluster.extra_sites = {dedicated_site()};
+  lobsim::Engine engine(cluster, exact_workload(8, 7200.0), 3);
+  engine.enable_tracing("");
+  const auto& m = engine.run();
+  ASSERT_TRUE(m.completed);
+  EXPECT_EQ(m.tasks_evicted, 8u);
+
+  const auto events =
+      util::parse_trace_jsonl(engine.sim().tracer().buffer());
+  const auto evicted = event_times(events, 'i', "task_evicted");
+  ASSERT_EQ(evicted.size(), 8u);
+  std::vector<double> retries;
+  for (double t : event_times(events, 'B', "analysis"))
+    if (t >= evicted.front()) retries.push_back(t);
+  EXPECT_EQ(retries, evicted)
+      << "every retry starts when its eviction returns the tasklet";
+}
+
+TEST(WakeOnWork, ReturnedWorkWakesAChainOfParkedSlots) {
+  // The home worker's first slot takes all eight tasklets as one task and
+  // every other slot parks.  Before the home worker dies, the task-size
+  // cap drops to one tasklet, so the evicted task comes back as eight
+  // tasks.  Its return wakes one parked slot, and each woken slot that
+  // leaves work behind wakes the next: all eight start at once.
+  auto cluster = one_worker(true);
+  cluster.availability = fixed_lifetime(3600.0);
+  cluster.rejoin_mean_seconds = 1e6;
+  cluster.extra_sites = {dedicated_site()};
+  auto wl = exact_workload(8, 7200.0);
+  wl.tasklets_per_task = 8;
+  lobsim::Engine engine(cluster, wl, 6);
+  engine.enable_tracing("");
+  engine.sim().spawn(at_time(engine.sim(), 1800.0, [&] {
+    engine.dispatch_policy().set_size_cap(1);
+  }));
+  const auto& m = engine.run();
+  ASSERT_TRUE(m.completed);
+  EXPECT_EQ(m.tasks_evicted, 1u);
+
+  const auto events =
+      util::parse_trace_jsonl(engine.sim().tracer().buffer());
+  const auto evicted = event_times(events, 'i', "task_evicted");
+  ASSERT_EQ(evicted.size(), 1u);
+  std::vector<double> retries;
+  for (double t : event_times(events, 'B', "analysis"))
+    if (t >= evicted.front()) retries.push_back(t);
+  EXPECT_EQ(retries, std::vector<double>(8, evicted.front()));
+}
+
+TEST(WakeOnWork, ParkedSlotLeavesAtItsNodeDeathAndTheWorkerRejoins) {
+  // The home worker takes all the work; the second site's worker, whose
+  // lives last 3630 s, parks all eight slots at once.  At its death they
+  // must exit, so the worker rejoins (near-zero backoff) right away.
+  auto cluster = one_worker(false);
+  cluster.rejoin_mean_seconds = 1e-3;
+  auto dying = dedicated_site();
+  dying.evictions = true;
+  dying.availability = fixed_lifetime(3630.0);
+  cluster.extra_sites = {dying};
+  lobsim::Engine engine(cluster, exact_workload(8, 20000.0), 9);
+  const lobsim::NodeHandle node{1, 0};
+  double death_after = 0.0;
+  bool alive_after = false;
+  engine.sim().spawn(at_time(engine.sim(), 3631.0, [&] {
+    death_after = engine.site_manager().node(node).death;
+    alive_after = engine.site_manager().node(node).alive;
+  }));
+  const auto& m = engine.run();
+  ASSERT_TRUE(m.completed);
+  EXPECT_EQ(engine.per_site_tasklets()[1], 0u);
+  EXPECT_TRUE(alive_after);
+  EXPECT_GT(death_after, 2.0 * 3630.0) << "a second life has begun";
+  EXPECT_LT(death_after, 2.0 * 3630.0 + 1.0)
+      << "the parked slots left at the first death, not later";
+}
+
+TEST(WakeOnWork, CompletionLeavesNoProcessAndStopsTheClock) {
+  // Lives of 100 h arm death timers far past completion.  Once every
+  // process has exited, those stale timers must not keep run() going.
+  auto cluster = one_worker(true);
+  cluster.availability = fixed_lifetime(100.0 * 3600.0);
+  auto wl = exact_workload(9, 3600.0);
+  wl.dispatch = lobsim::DispatchMode::TailShrink;
+  wl.tasklets_per_task = 2;
+  lobsim::Engine engine(cluster, wl, 4);
+  const auto& m = engine.run();
+  ASSERT_TRUE(m.completed);
+  EXPECT_GT(counter(engine, "lobsim.engine.slot_parks"), 0.0);
+  EXPECT_EQ(counter(engine, "lobsim.engine.slot_parks"),
+            counter(engine, "lobsim.engine.slot_wakes"));
+  EXPECT_EQ(engine.sim().live_processes(), 0u);
+  EXPECT_LE(engine.sim().now(), m.makespan + 2.0 * 3600.0);
+}
+
+TEST(WakeOnWork, ThiefWakesWhenTheVictimBacklogReachesTheStealMinimum) {
+  // Stealing splits 16 tasklets 8/8.  The thief site's tasks are short and
+  // its slots park with nothing to steal.  The victim's tasks stream
+  // through a slow uplink until its worker's death evicts all eight, and
+  // their returns refill its pool.  A parked thief must steal at the
+  // instant the backlog reaches steal_min_backlog.
+  auto cluster = one_worker(true);
+  cluster.availability = fixed_lifetime(1800.0);
+  cluster.rejoin_mean_seconds = 1e6;
+  cluster.federation.per_stream_rate = 1e5;
+  cluster.extra_sites = {dedicated_site()};
+  auto wl = exact_workload(16, 600.0);
+  wl.access = core::DataAccessMode::Stream;
+  wl.tasklet_input_bytes = 1e9;
+  wl.dispatch = lobsim::DispatchMode::Stealing;
+  wl.steal_min_backlog = 4;
+  lobsim::Engine engine(cluster, wl, 8);
+  engine.enable_tracing("");
+  const auto& m = engine.run(6.0 * 3600.0);
+  EXPECT_EQ(m.tasks_evicted, 8u);
+
+  const auto events =
+      util::parse_trace_jsonl(engine.sim().tracer().buffer());
+  const auto evicted = event_times(events, 'i', "task_evicted");
+  const auto steals = event_times(events, 'i', "steal");
+  ASSERT_EQ(evicted.size(), 8u);
+  ASSERT_FALSE(steals.empty());
+  EXPECT_EQ(steals.front(), evicted[3])
+      << "the fourth returned tasklet lifts the backlog to the minimum";
 }

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -163,6 +165,71 @@ TEST(EmpiricalDistribution, QuantilesAndSampling) {
   lu::RunningStats s;
   for (int i = 0; i < 100000; ++i) s.add(dist.sample(rng));
   EXPECT_NEAR(s.mean(), dist.mean(), 5.0);
+}
+
+// The constructor's radix sort must give std::sort's sequence bit for bit.
+// The logs mix magnitudes, signs, infinities, subnormals and both zeros.
+// std::sort leaves the order of -0.0 and +0.0 (equal under <) unspecified,
+// so the reference sorts by IEEE total order, which puts -0.0 first, and
+// plain std::sort must agree value for value.
+TEST(EmpiricalDistribution, RadixSortMatchesStdSortBitForBit) {
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 3.0,
+                             -std::numeric_limits<double>::min() / 7.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest()};
+  lu::Rng rng(2015);
+  for (std::size_t n : {1u, 2u, 255u, 256u, 257u, 5000u, 50000u}) {
+    std::vector<double> log;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = rng.uniform();
+      if (u < 0.1)
+        log.push_back(specials[rng.uniform_int(0, 9)]);
+      else if (u < 0.2)
+        log.push_back(-rng.weibull(0.8, 3600.0));
+      else if (u < 0.3 && !log.empty())
+        log.push_back(log[rng.uniform_int(0, static_cast<std::int64_t>(log.size()) - 1)]);
+      else
+        log.push_back(rng.weibull(0.8, 3600.0));
+    }
+    std::vector<double> total = log;
+    std::sort(total.begin(), total.end(), [](double a, double b) {
+      return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+    });
+    std::vector<double> plain = log;
+    std::sort(plain.begin(), plain.end());
+
+    const lu::EmpiricalDistribution dist(log);
+    EXPECT_EQ(bits(dist.sorted()), bits(total)) << "n=" << n;
+    EXPECT_EQ(dist.sorted(), plain) << "n=" << n;
+    if (std::none_of(log.begin(), log.end(), [](double x) {
+          return x == 0.0 && std::signbit(x);
+        })) {
+      EXPECT_EQ(bits(dist.sorted()), bits(plain)) << "n=" << n;
+    }
+  }
+  // The availability log itself: positive Weibull draws, no zeros.
+  std::vector<double> weibull;
+  for (int i = 0; i < 50000; ++i) weibull.push_back(rng.weibull(0.8, 4.0 * 3600.0));
+  std::vector<double> want = weibull;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(bits(lu::EmpiricalDistribution(weibull).sorted()), bits(want));
+}
+
+TEST(EmpiricalDistribution, RejectsNaN) {
+  EXPECT_THROW(lu::EmpiricalDistribution(
+                   {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0}),
+               std::invalid_argument);
 }
 
 // mean() is cached at construction.  It must be bitwise equal to the

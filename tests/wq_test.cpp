@@ -443,6 +443,10 @@ TEST(StealGroup, IdleLeafStealsFromSibling) {
   wq::StealGroup group;
   group.bind_counters(registry);
   wq::Foreman leaf_a("leaf-a", master, 32, &group);
+  // Let leaf-a fill its window before leaf-b exists: otherwise leaf-b's
+  // worker can drain the master before leaf-a's pump thread first runs,
+  // and there is nothing left to steal.
+  while (leaf_a.tasks_relayed() < 32) std::this_thread::yield();
   wq::Foreman leaf_b("leaf-b", master, 8, &group);
   wq::Worker worker("wb", leaf_b, 4);
   const auto results = collect(master);

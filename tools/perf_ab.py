@@ -16,6 +16,9 @@ MIN_LOSSES of PAIRS pairs with a median worse by more than MAX_WORSE, or
 when HEAD fails a larger share of its repetitions than BASE.  A `sim_*`
 metric that differs between the sides is printed as a model-change notice,
 not a failure: a change that moves the model says so in its description.
+The notice gives the signed change of the medians as a fraction of the
+metric's `bound` in BENCHMARK.json (positive is worse), so a declared
+model change shows how far each simulated outcome moved.
 Exit code 2 when a checkout cannot be built or run.
 """
 
@@ -93,6 +96,13 @@ def worse_by(base, head, better):
     return change if better == "lower" else -change
 
 
+def model_change(base, head, metric):
+    """The model-change notice of a `sim_*` metric whose runs differ."""
+    worse = worse_by(base, head, metric["better"])
+    return "model change: %+.3f of the %g bound (median %+.2f%%, + is worse)" % (
+        worse / metric["bound"], metric["bound"], 100.0 * worse)
+
+
 def compare(workload, metrics, base_runs, head_runs):
     """Print one workload's table; return its failure messages."""
     failures = []
@@ -110,8 +120,8 @@ def compare(workload, metrics, base_runs, head_runs):
         bm, hm = statistics.median(base), statistics.median(head)
         worse = worse_by(bm, hm, better)
         if name.startswith("sim_"):
-            verdict = ("model change: simulated outcome differs"
-                       if base != head else "identical")
+            verdict = (model_change(bm, hm, m) if base != head
+                       else "identical")
         elif losses >= MIN_LOSSES and worse > MAX_WORSE:
             verdict = "FAIL"
             failures.append(
